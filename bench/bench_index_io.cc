@@ -1,11 +1,11 @@
-// Persistent index I/O: what a saved index file buys over rebuilding. For
-// each shard layout the harness builds the offline reliability index from
-// scratch (bank sampling + per-world labeling), saves it with SaveIndex,
-// then mmap-loads it back with LoadIndex — the load path's whole job is to
-// be O(file size) with zero sampling and zero relabeling, so
-// load_seconds << build_seconds is the entire point of the format.
+// Persistent index I/O: what a saved index file buys over rebuilding. The
+// harness builds the offline reliability index from scratch (bank sampling +
+// per-world labeling), saves it with SaveIndex, then mmap-loads it back with
+// LoadIndex — the load path's whole job is to be O(file size) with zero
+// sampling and zero relabeling, so load_seconds << build_seconds is the
+// entire point of the format.
 //
-// Bit-purity is enforced in-harness on every row: the loaded index must
+// Bit-purity is enforced in-harness: the loaded index must
 // return exactly the same connected-world bitsets and Query values as the
 // freshly built one, or the run exits 1. A non-empty --json PATH writes the
 // result entry in the canonical BENCH_*.json shape ({label, command,
@@ -21,14 +21,13 @@
 #include "common/timer.h"
 #include "index/index_io.h"
 #include "index/reliability_index.h"
-#include "sampling/world_view.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 namespace bench {
 namespace {
 
-struct ShardResult {
-  int shards = 0;
+struct IoResult {
   double build_seconds = 0.0;  // bank sampling + labeling, from scratch
   double save_seconds = 0.0;   // SaveIndex (write-temp + fsync + rename)
   double load_seconds = 0.0;   // LoadIndex (mmap + validate + adopt)
@@ -51,23 +50,21 @@ std::vector<std::pair<NodeId, NodeId>> RandomPairs(NodeId n, int num_pairs,
   return pairs;
 }
 
-ShardResult RunShards(const UncertainGraph& g, int shards, int num_samples,
-                      uint64_t seed, int load_reps, const std::string& path) {
-  ShardResult r;
-  r.shards = shards;
-  const WorldViewOptions world_options = {.num_samples = num_samples,
-                                          .seed = seed,
-                                          .num_partitions = shards};
+IoResult RunIo(const UncertainGraph& g, int num_samples, uint64_t seed,
+              int load_reps, const std::string& path) {
+  IoResult r;
+  const WorldBank::Options world_options = {.num_samples = num_samples,
+                                            .seed = seed};
 
   // Build from scratch: the cost the file exists to avoid paying twice.
   WallTimer timer;
-  std::unique_ptr<WorldView> bank = MakeWorldView(g, world_options);
-  ReliabilityIndex built(*bank, {});
+  const WorldBank bank(g, world_options);
+  ReliabilityIndex built(bank, {});
   r.build_seconds = timer.ElapsedSeconds();
 
   timer.Restart();
   const StatusOr<size_t> saved =
-      SaveIndex(*bank, built, world_options, /*generation=*/1, path);
+      SaveIndex(bank, built, world_options, /*generation=*/1, path);
   r.save_seconds = timer.ElapsedSeconds();
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n",
@@ -129,22 +126,14 @@ void Run(const Flags& flags) {
               dataset_name.c_str(), scale, g.num_nodes(), g.num_edges(),
               num_samples, static_cast<unsigned long long>(seed));
 
-  TablePrinter table({"Shards", "Build s", "Save s", "Load s", "Load/Build",
+  TablePrinter table({"Build s", "Save s", "Load s", "Load/Build",
                       "File bytes", "Identical"});
-  std::vector<ShardResult> results;
-  bool all_identical = true;
-  for (const int shards : {1, 4}) {
-    const ShardResult r =
-        RunShards(g, shards, num_samples, seed, load_reps, path);
-    results.push_back(r);
-    all_identical = all_identical && r.bit_identical;
-    table.AddRow({Fmt(r.shards), Fmt(r.build_seconds, 4),
-                  Fmt(r.save_seconds, 4), Fmt(r.load_seconds, 6),
-                  Fmt(r.speedup_load_vs_build, 1) + "x",
-                  Fmt(static_cast<int>(r.file_bytes)),
-                  r.bit_identical ? "yes" : "NO"});
-    std::fflush(stdout);
-  }
+  const IoResult r = RunIo(g, num_samples, seed, load_reps, path);
+  table.AddRow({Fmt(r.build_seconds, 4), Fmt(r.save_seconds, 4),
+                Fmt(r.load_seconds, 6),
+                Fmt(r.speedup_load_vs_build, 1) + "x",
+                Fmt(static_cast<int>(r.file_bytes)),
+                r.bit_identical ? "yes" : "NO"});
   table.Print();
   std::printf(
       "\nbuild pays Z world draws plus per-world labeling every process\n"
@@ -152,8 +141,8 @@ void Run(const Flags& flags) {
       "bank rows zero-copy — Load/Build is the startup speedup a persisted\n"
       "index buys, with answers guaranteed bit-identical.\n");
 
-  const auto enforce_identical = [&all_identical] {
-    if (all_identical) return;
+  const auto enforce_identical = [&r] {
+    if (r.bit_identical) return;
     std::fprintf(stderr,
                  "FAIL: loaded index answers were not bit-identical to the "
                  "freshly built index\n");
@@ -170,28 +159,22 @@ void Run(const Flags& flags) {
           "\",\n";
   json += "  \"environment\": " +
           EnvironmentJson("WallTimer harness",
-                          "build = MakeWorldView sampling + ReliabilityIndex "
+                          "build = WorldBank sampling + ReliabilityIndex "
                           "labeling from scratch; save = SaveIndex "
                           "write-temp + rename; load = LoadIndex mmap + "
                           "checksum validation + zero-copy bank adoption, "
                           "averaged over --load-reps") +
           ",\n  \"benchmarks\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ShardResult& r = results[i];
-    const std::string common =
-        ", \"shards\": " + std::to_string(r.shards) +
-        ", \"build_seconds\": " + Fmt(r.build_seconds, 6) +
-        ", \"save_seconds\": " + Fmt(r.save_seconds, 6) +
-        ", \"load_seconds\": " + Fmt(r.load_seconds, 6) +
-        ", \"speedup_load_vs_build\": " + Fmt(r.speedup_load_vs_build, 2) +
-        ", \"file_bytes\": " + std::to_string(r.file_bytes) +
-        ", \"bit_identical\": " + (r.bit_identical ? "true" : "false") + "}";
-    json += "    {\"name\": \"BM_IndexSave/" + std::to_string(r.shards) +
-            "\"" + common + ",\n";
-    json += "    {\"name\": \"BM_IndexLoad/" + std::to_string(r.shards) +
-            "\"" + common +
-            (i + 1 < results.size() ? "," : "") + "\n";
-  }
+  const std::string common =
+      ", \"build_seconds\": " + Fmt(r.build_seconds, 6) +
+      ", \"save_seconds\": " + Fmt(r.save_seconds, 6) +
+      ", \"load_seconds\": " + Fmt(r.load_seconds, 6) +
+      ", \"speedup_load_vs_build\": " + Fmt(r.speedup_load_vs_build, 2) +
+      ", \"file_bytes\": " + std::to_string(r.file_bytes) +
+      ", \"bit_identical\": " + (r.bit_identical ? "true" : "false") + "}";
+  // The "/1" suffix keeps the names of the recorded single-bank rows.
+  json += "    {\"name\": \"BM_IndexSave/1\"" + common + ",\n";
+  json += "    {\"name\": \"BM_IndexLoad/1\"" + common + "\n";
   json += "  ]\n}\n";
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {

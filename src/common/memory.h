@@ -24,19 +24,9 @@ inline size_t WorldWords(int num_samples) {
 }
 
 /// Logical bytes of a `rows` × `num_samples` world bit-bank (lane padding
-/// excluded) — the quantity the shared-world footprint budgets meter, and
-/// what WorldView::ShardBankBytes reports per shard.
+/// excluded) — the quantity the shared-world footprint budgets meter.
 inline size_t BankBytes(size_t rows, int num_samples) {
   return rows * WorldWords(num_samples) * 8;
-}
-
-/// Balanced per-shard row estimate for admission decisions: ceil(rows /
-/// num_shards). The partitioner's balance guard keeps real shards near this,
-/// and at num_shards == 1 it degenerates to the old whole-bank check.
-inline size_t BalancedShardRows(size_t rows, int num_shards) {
-  if (num_shards < 1) num_shards = 1;
-  return (rows + static_cast<size_t>(num_shards) - 1) /
-         static_cast<size_t>(num_shards);
 }
 
 }  // namespace relmax

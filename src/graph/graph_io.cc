@@ -2,66 +2,58 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 namespace relmax {
-namespace {
 
-/// Longest accepted input line. Far beyond any legitimate edge record; the
-/// cap keeps a stray binary file from ballooning memory before failing.
-constexpr size_t kMaxLineBytes = 1 << 20;
-
-enum class LineResult { kOk, kEof, kTooLong, kNulByte };
-
-// Reads one line of arbitrary length (growing *line as needed) and strips
-// the trailing "\n" or "\r\n" — files written on Windows parse identically.
-// A line longer than kMaxLineBytes reports kTooLong instead of being
-// silently split into bogus records; a NUL byte (fgets reports data strlen
-// cannot see past — a binary file) reports kNulByte instead of merging
-// records.
-LineResult ReadLine(FILE* f, std::string* line) {
+LineRead ReadBoundedLine(std::istream& in, std::string* line) {
   line->clear();
-  char chunk[256];
-  while (std::fgets(chunk, sizeof(chunk), f) != nullptr) {
-    const size_t len = std::strlen(chunk);
-    if (len == 0) return LineResult::kNulByte;
-    line->append(chunk, len);
-    if (line->size() > kMaxLineBytes) return LineResult::kTooLong;
-    if (line->back() == '\n') break;
-    // fgets only stops early at a newline or EOF; a short chunk without
-    // either means an embedded NUL truncated strlen mid-chunk.
-    if (len < sizeof(chunk) - 1 && !std::feof(f)) return LineResult::kNulByte;
+  std::streambuf* const buf = in.rdbuf();
+  bool any = false;
+  bool too_long = false;
+  bool nul = false;
+  for (;;) {
+    const int c = buf->sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      if (!any) return LineRead::kEof;
+      break;
+    }
+    any = true;
+    if (c == '\n') break;
+    if (c == '\0') nul = true;
+    // Past the cap the rest of the line is consumed but not kept.
+    if (line->size() < kMaxLineBytes) {
+      line->push_back(static_cast<char>(c));
+    } else {
+      too_long = true;
+    }
   }
-  if (line->empty()) return LineResult::kEof;
-  while (!line->empty() && (line->back() == '\n' || line->back() == '\r')) {
-    line->pop_back();
-  }
-  return LineResult::kOk;
+  if (too_long) return LineRead::kTooLong;
+  if (nul) return LineRead::kNulByte;
+  if (!line->empty() && line->back() == '\r') line->pop_back();
+  return LineRead::kOk;
 }
 
-}  // namespace
-
 StatusOr<std::vector<std::string>> ReadTextLines(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return Status::IoError("cannot open for read: " + path);
   std::vector<std::string> lines;
   std::string line;
-  LineResult read;
-  while ((read = ReadLine(f, &line)) != LineResult::kEof) {
-    if (read == LineResult::kTooLong) {
-      std::fclose(f);
+  LineRead read;
+  while ((read = ReadBoundedLine(in, &line)) != LineRead::kEof) {
+    if (read == LineRead::kTooLong) {
       return Status::InvalidArgument("line too long at line " +
                                      std::to_string(lines.size() + 1));
     }
-    if (read == LineResult::kNulByte) {
-      std::fclose(f);
+    if (read == LineRead::kNulByte) {
       return Status::InvalidArgument("NUL byte at line " +
                                      std::to_string(lines.size() + 1) +
                                      " (binary file?)");
     }
     lines.push_back(line);
   }
-  std::fclose(f);
   return lines;
 }
 

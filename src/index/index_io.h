@@ -10,33 +10,29 @@
 #include "common/status.h"
 #include "graph/uncertain_graph.h"
 #include "index/reliability_index.h"
-#include "sampling/world_view.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 
 /// Persistence for the offline reliability index: one mmap-able flat file
 /// holding everything a process needs to answer queries without resampling
-/// or relabeling — the bank's per-shard edge×world bit rows, the index's
-/// label bit-planes, the per-world label-compaction tables, and (for a
-/// sharded bank) the partition's node→shard map.
+/// or relabeling — the bank's edge×world bit rows, the index's label
+/// bit-planes, and the per-world label-compaction tables.
 ///
 /// File layout (all integers little-endian, every payload section 64-byte
 /// aligned so loaded bank rows drop straight into the lane-block kernels):
 ///
 ///     ┌────────────────────┐ offset 0
 ///     │ IndexFileHeader    │ fixed 96 bytes, keyed on (graph digest,
-///     │                    │ directedness, Z, seed, lane layout, shards)
+///     │                    │ directedness, Z, seed, lane layout)
 ///     ├────────────────────┤
 ///     │ SectionEntry table │ num_sections × 24 bytes
 ///     ├────────────────────┤ pad to 64
-///     │ kBankShard #0      │ shard 0's edge rows, lane-stride padded
-///     │   …                │ (one section per shard, shard-id order)
+///     │ kBankRows          │ the bank's edge rows, lane-stride padded
 ///     ├────────────────────┤ pad to 64
 ///     │ kLabelPlanes       │ the index's raw label words
 ///     ├────────────────────┤ pad to 64
 ///     │ kLabelCompaction   │ per-world compact-label-domain sizes (u32 × Z)
-///     ├────────────────────┤ pad to 64
-///     │ kPartitionMap      │ node→shard map (u32 × n), sharded banks only
 ///     ├────────────────────┤ pad to 64
 ///     │ footer             │ magic, table checksum, per-section checksums
 ///     └────────────────────┘
@@ -47,12 +43,12 @@ namespace relmax {
 /// the new complete file, never a torn one.
 ///
 /// Loading mmaps the file read-only and validates strictly before any
-/// payload byte is interpreted: magic / version / endianness, the header
-/// key against the caller's (graph, WorldViewOptions), exact file size
-/// against the declared layout (truncation), section alignment, the footer
-/// checksums, and payload invariants (node→shard range, zero tail/pad
-/// bits). Every failure is a typed Status — never UB — so callers can fall
-/// back loudly to a rebuild, mirroring the bank-fallback protocol.
+/// payload byte is interpreted: magic / version / endianness / layout, the
+/// header key against the caller's (graph, WorldBank::Options), exact file
+/// size against the declared layout (truncation), section alignment, the
+/// footer checksums, and payload invariants (zero tail/pad bits). Every
+/// failure is a typed Status — never UB — so callers can fall back loudly
+/// to a rebuild, mirroring the bank-fallback protocol.
 
 /// On-disk header. Plain-old-data on purpose: the format IS this struct's
 /// bytes (packed naturally — every field is aligned to its size), so tests
@@ -63,16 +59,18 @@ struct IndexFileHeader {
   uint32_t endian_tag;      ///< kIndexEndianTag as written by the saver
   uint64_t graph_digest;    ///< GraphContentDigest of the universe graph
   uint64_t generation;      ///< bumped on every atomic republish
-  uint64_t seed;            ///< WorldViewOptions::seed of the draw stream
+  uint64_t seed;            ///< WorldBank::Options::seed of the draw stream
   uint64_t num_edges;
   uint32_t num_nodes;
   uint32_t num_worlds;      ///< Z
   uint32_t world_words;     ///< ceil(Z / 64)
   uint32_t lane_words;      ///< bitlane::kLaneWords at save time (layout key)
   uint32_t label_bits;      ///< ceil(log2 num_nodes)
-  uint32_t flags;           ///< kIndexFlagDirected | kIndexFlagSharded
-  uint32_t num_partitions;  ///< requested WorldViewOptions::num_partitions
-  uint32_t num_shards;      ///< actual bank shard count after clamping
+  uint32_t flags;           ///< kIndexFlagDirected (kIndexFlagSharded: reject)
+  /// Bank layout fields: always 1 — the bank is one flat matrix. Files
+  /// from edge-cut sharded builds carry other values and are rejected.
+  uint32_t partition_count;
+  uint32_t num_shards;
   uint32_t num_sections;
   uint32_t reserved0;
   uint64_t reserved1;
@@ -89,10 +87,9 @@ inline constexpr uint32_t kIndexFlagSharded = 1u << 1;
 
 /// Payload section kinds, in their required file order.
 enum class IndexSectionKind : uint64_t {
-  kBankShard = 1,        ///< one per shard: owned-edge rows, stride-padded
+  kBankRows = 1,         ///< every edge's world row, stride-padded
   kLabelPlanes = 2,      ///< the index's raw label words
   kLabelCompaction = 3,  ///< u32 per world: compact label-domain size
-  kPartitionMap = 4,     ///< u32 per node: owning shard (sharded banks only)
 };
 
 /// On-disk section-table entry. `offset` is from the file start and must be
@@ -144,15 +141,14 @@ class MappedFile {
 };
 
 /// Serializes (bank, index) into the flat file at `path` via write-temp +
-/// rename. `world_options` provides the key fields the file records (seed,
-/// requested partitions) and must match the bank (`num_samples` ==
-/// bank.num_worlds(), partitioned iff num_partitions > 1); `generation`
-/// is stamped into the header — pass previous generation + 1 when
-/// republishing after an incremental relabel. Returns the file's total
+/// rename. `world_options` provides the key fields the file records (seed)
+/// and must match the bank (`num_samples` == bank.num_worlds());
+/// `generation` is stamped into the header — pass previous generation + 1
+/// when republishing after an incremental relabel. Returns the file's total
 /// byte size.
-StatusOr<size_t> SaveIndex(const WorldView& bank,
+StatusOr<size_t> SaveIndex(const WorldBank& bank,
                            const ReliabilityIndex& index,
-                           const WorldViewOptions& world_options,
+                           const WorldBank::Options& world_options,
                            uint64_t generation, const std::string& path);
 
 /// A loaded index and everything that keeps it alive. The bank's bit rows
@@ -160,7 +156,7 @@ StatusOr<size_t> SaveIndex(const WorldView& bank,
 /// destruction: index first, then bank, then the mapping.
 struct LoadedIndex {
   MappedFile mapping;
-  std::unique_ptr<WorldView> bank;
+  std::unique_ptr<WorldBank> bank;
   std::unique_ptr<ReliabilityIndex> index;
   uint64_t generation = 0;
   size_t file_bytes = 0;
@@ -169,9 +165,9 @@ struct LoadedIndex {
 /// Loads `path` for (g, world_options): O(file size) — mmap, validate,
 /// checksum, adopt; no sampling and no relabeling. Typed failures:
 ///  - kNotFound: no file at `path`;
-///  - kFailedPrecondition: not an index file (magic/version/endianness) or
-///    built for a different key (digest, directedness, Z, seed, lane
-///    layout, partition count) or over `index_options.max_label_bytes`;
+///  - kFailedPrecondition: not an index file (magic/version/endianness), a
+///    sharded bank layout, built for a different key (digest, directedness,
+///    Z, seed, lane layout) or over `index_options.max_label_bytes`;
 ///  - kIoError: truncation or checksum mismatch;
 ///  - kInvalidArgument: structurally malformed (inconsistent header fields,
 ///    misaligned or mis-sized sections, out-of-range payload values).
@@ -179,12 +175,12 @@ struct LoadedIndex {
 /// outlive it.
 StatusOr<LoadedIndex> LoadIndex(
     const std::string& path, const UncertainGraph& g,
-    const WorldViewOptions& world_options,
+    const WorldBank::Options& world_options,
     const ReliabilityIndex::Options& index_options);
 
 /// Header + section table of an index file, without validating its key,
-/// checksums, or payloads (magic/version/endianness and table bounds are
-/// still checked). For tooling and tests.
+/// checksums, or payloads (magic/version/endianness/layout and table bounds
+/// are still checked). For tooling and tests.
 struct IndexFileInfo {
   IndexFileHeader header;
   std::vector<IndexSectionEntry> sections;

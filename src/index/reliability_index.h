@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "graph/uncertain_graph.h"
-#include "sampling/world_view.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 
-/// Offline per-world connectivity index over a WorldView: answers
+/// Offline per-world connectivity index over a WorldBank: answers
 /// R(s, t) = |{worlds where t is reachable from s}| / Z with **no flood at
 /// query time**.
 ///
@@ -60,16 +60,6 @@ namespace relmax {
 /// whole index is a pure function of the bank bits — bit-identical for any
 /// num_threads. Queries never depend on cache state: eviction changes which
 /// floods re-run, never their results.
-///
-/// **Partition-sharded banks:** indexing works over any WorldView. For an
-/// undirected sharded bank the per-world union-find runs shard-locally first
-/// (each partition shard unions only its own intra-shard edges) and a
-/// boundary merge pass over the cut edges then joins components across
-/// shards; since union-find's final partition is order-independent and the
-/// remap is canonical, the labels are bit-identical to the flat bank's.
-/// Directed SCC labeling does not decompose along an edge cut (an SCC can
-/// thread through several shards), so it keeps the global per-world Tarjan
-/// over the universe CSR regardless of sharding.
 class ReliabilityIndex {
  public:
   struct Options {
@@ -111,7 +101,7 @@ class ReliabilityIndex {
   /// Labels every world in `bank`. The bank (and its universe graph) must
   /// outlive the index or be replaced via ApplyBankUpdate. Callers should
   /// check Fits() first; an over-cap build is a programmer error (CHECK).
-  explicit ReliabilityIndex(const WorldView& bank, const Options& options);
+  explicit ReliabilityIndex(const WorldBank& bank, const Options& options);
 
   /// Restores an index from previously saved label planes instead of
   /// relabeling — the deserialization path (index/index_io.h). `labels` must
@@ -121,7 +111,7 @@ class ReliabilityIndex {
   /// bit-identically to the one that was saved; stats().builds and
   /// stats().worlds_relabeled stay 0 to record that no labeling ran.
   static std::unique_ptr<ReliabilityIndex> FromSavedLabels(
-      const WorldView& bank, const Options& options,
+      const WorldBank& bank, const Options& options,
       std::vector<uint64_t> labels);
 
   /// Whether the label planes for (g, num_samples) fit under
@@ -147,16 +137,15 @@ class ReliabilityIndex {
   /// may have been appended) and replaces it as the index's bank; the
   /// directed reach cache is dropped. Pass DiffWorlds(old, fresh) to get the
   /// exact mask.
-  void ApplyBankUpdate(const WorldView& fresh, const std::vector<uint64_t>& affected);
+  void ApplyBankUpdate(const WorldBank& fresh,
+                       const std::vector<uint64_t>& affected);
 
   /// Worlds whose edge presence differs between the banks: XOR of the up
   /// rows of every common edge, plus the up row of every edge only in
   /// `fresh` (appended after the old bank was sampled). Banks must have the
-  /// same num_worlds. The banks may use different partition counts — bank
-  /// bits are layout-independent (canonical draw stream), so the diff is
-  /// exact across flat and sharded views.
-  static std::vector<uint64_t> DiffWorlds(const WorldView& old_bank,
-                                          const WorldView& fresh);
+  /// same num_worlds.
+  static std::vector<uint64_t> DiffWorlds(const WorldBank& old_bank,
+                                          const WorldBank& fresh);
 
   int num_worlds() const { return num_worlds_; }
   /// Bitplanes per node (ceil(log2 num_nodes); 0 for a 1-node graph).
@@ -174,7 +163,7 @@ class ReliabilityIndex {
  private:
   // Tag for the label-adopting constructor behind FromSavedLabels.
   struct AdoptLabels {};
-  ReliabilityIndex(const WorldView& bank, const Options& options,
+  ReliabilityIndex(const WorldBank& bank, const Options& options,
                    std::vector<uint64_t> labels, AdoptLabels);
 
   // Recomputes the label columns of every world set in `mask` from bank_.
@@ -188,7 +177,7 @@ class ReliabilityIndex {
   // where s and t carry equal labels.
   std::vector<uint64_t> EqualLabelWorlds(NodeId s, NodeId t) const;
 
-  const WorldView* bank_;  // replaced by ApplyBankUpdate
+  const WorldBank* bank_;  // replaced by ApplyBankUpdate
   Options options_;
   NodeId num_nodes_;
   int num_worlds_;

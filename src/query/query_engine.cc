@@ -11,7 +11,6 @@
 #include "sampling/parallel.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
-#include "sampling/world_view.h"
 
 namespace relmax {
 
@@ -21,11 +20,10 @@ QueryEngine::QueryEngine(const UncertainGraph& g,
   RELMAX_CHECK(options_.num_samples > 0);
 }
 
-WorldViewOptions QueryEngine::WorldOptions() const {
-  return WorldViewOptions{.num_samples = options_.num_samples,
-                          .seed = options_.seed,
-                          .num_threads = options_.num_threads,
-                          .num_partitions = options_.num_partitions};
+WorldBank::Options QueryEngine::WorldOptions() const {
+  return {.num_samples = options_.num_samples,
+          .seed = options_.seed,
+          .num_threads = options_.num_threads};
 }
 
 void QueryEngine::SyncWithGraph() {
@@ -38,7 +36,7 @@ void QueryEngine::SyncWithGraph() {
     // Incremental maintenance: resample the bank — its bits are a pure
     // function of (probs, Z, seed), so this is exactly what a fresh engine
     // would hold — and relabel only the worlds whose edge presence changed.
-    std::unique_ptr<WorldView> fresh = MakeWorldView(graph_, WorldOptions());
+    auto fresh = std::make_unique<WorldBank>(graph_, WorldOptions());
     index_->ApplyBankUpdate(*fresh,
                             ReliabilityIndex::DiffWorlds(*bank_, *fresh));
     bank_ = std::move(fresh);
@@ -64,7 +62,7 @@ void QueryEngine::SyncWithGraph() {
 
 void QueryEngine::EnsureBank() {
   if (bank_ != nullptr) return;
-  bank_ = MakeWorldView(graph_, WorldOptions());
+  bank_ = std::make_unique<WorldBank>(graph_, WorldOptions());
   all_edges_ = bank_->AllEdges();
   indexed_nodes_ = graph_.num_nodes();
   indexed_endpoints_.clear();
@@ -89,11 +87,8 @@ bool QueryEngine::GraphExtendsIndexedShape() const {
 bool QueryEngine::UseSharedWorlds() const {
   if (!options_.reuse_worlds) return false;
   if (options_.estimator != Estimator::kMonteCarlo) return false;
-  // Admission is per shard: one balanced shard of ceil(E / P) bank rows must
-  // fit max_bank_bytes (P == 1 reduces to the old whole-bank check).
-  const int shards = std::max(options_.num_partitions, 1);
-  return BankBytes(BalancedShardRows(graph_.num_edges(), shards),
-                   options_.num_samples) <= options_.max_bank_bytes &&
+  return BankBytes(graph_.num_edges(), options_.num_samples) <=
+             options_.max_bank_bytes &&
          BankBytes(static_cast<size_t>(graph_.num_nodes()),
                    options_.num_samples) <= options_.max_flood_bytes_per_lane;
 }
@@ -197,7 +192,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
       pairs_of_source[it->second].push_back(i);
     }
     std::vector<double> values(pairs.size());
-    const WorldView& bank = *bank_;
+    const WorldBank& bank = *bank_;
     const int num_worlds = bank.num_worlds();
     ForEachShard(
         sources.size(), options_.num_threads,
@@ -207,7 +202,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
           bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
                                     all_edges_, reach.get());
           for (size_t idx : pairs_of_source[i]) {
-            values[idx] = static_cast<double>(WorldView::CountBits(
+            values[idx] = static_cast<double>(WorldBank::CountBits(
                               reach->row_span(pairs[idx].t),
                               static_cast<size_t>(num_worlds))) /
                           num_worlds;
@@ -226,15 +221,12 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
   // footprint caps pushed us here, that is a silent 10-100x slowdown unless
   // we surface it.
   if (options_.reuse_worlds && options_.estimator == Estimator::kMonteCarlo) {
-    const int shards = std::max(options_.num_partitions, 1);
-    const size_t shard_bytes =
-        BankBytes(BalancedShardRows(graph_.num_edges(), shards),
-                  options_.num_samples);
+    const size_t bank_bytes =
+        BankBytes(graph_.num_edges(), options_.num_samples);
     const size_t flood_bytes = BankBytes(
         static_cast<size_t>(graph_.num_nodes()), options_.num_samples);
-    if (shard_bytes > options_.max_bank_bytes) {
-      NoteBankFallback("query engine", shard_bytes, options_.max_bank_bytes,
-                       shards);
+    if (bank_bytes > options_.max_bank_bytes) {
+      NoteBankFallback("query engine", bank_bytes, options_.max_bank_bytes);
     } else {
       NoteBankFallback("query engine (flood lane)", flood_bytes,
                        options_.max_flood_bytes_per_lane);
@@ -350,7 +342,8 @@ StatusOr<BatchResult> QueryEngine::Answer(const QuerySet& set) {
     }
   }
   if (bank_ != nullptr) {
-    result.stats.shard_bank_bytes = bank_->ShardBankBytes();
+    result.stats.bank_bytes =
+        BankBytes(bank_->num_edges(), bank_->num_worlds());
   }
   result.stats.seconds = timer.ElapsedSeconds();
   return result;

@@ -21,22 +21,21 @@ namespace {
 constexpr uint64_t kP53 = uint64_t{1} << 53;
 constexpr uint64_t kAlwaysUp = kP53 + 1;
 
-}  // namespace
-
-namespace internal {
-
-void FillBankColumns(
-    const UncertainGraph& universe, int num_samples, uint64_t seed,
-    int num_threads,
-    const std::function<void(size_t word, const uint64_t* col)>& store) {
+// The canonical bank fill: samples `num_samples` worlds over `universe`'s
+// edges with the counter-seeded sharded executor and writes each shard's
+// 64-world word of every edge row straight into `up` (row e = edge e's world
+// bitset). Every stored bit is a pure function of (edge probs, num_samples,
+// seed), independent of threads.
+void FillBankColumns(const UncertainGraph& universe, int num_samples,
+                     uint64_t seed, int num_threads, bitlane::BitMatrix* up) {
   RELMAX_CHECK(num_samples > 0);
   // Shard i covers worlds [i * kShardSamples, …): with kShardSamples == 64
-  // that is exactly bit-word i of every edge row, so shards never produce
-  // the same word and the fill is race-free without atomics as long as
-  // `store` writes only word `word`'s storage.
+  // that is exactly bit-word i of every edge row, so shards never write the
+  // same word and the fill is race-free without atomics.
   static_assert(kShardSamples == 64,
                 "the word-per-shard bank fill requires 64-world shards");
   const size_t num_edges = universe.num_edges();
+  RELMAX_CHECK(up->rows() == num_edges);
   // Flat structure-of-arrays probability vector, pre-folded into integer
   // thresholds so the inner loop compares a raw draw against a constant
   // instead of branching on a double inside NextBernoulli.
@@ -53,8 +52,8 @@ void FillBankColumns(
   struct FillContext {
     Rng rng{0};
     // One word per edge: the shard's 64 worlds for that edge, accumulated
-    // contiguously and handed to `store` once per shard instead of once per
-    // draw.
+    // contiguously and scattered into the rows once per shard instead of
+    // once per draw.
     std::vector<uint64_t> col;
   };
   ForEachShard(
@@ -86,28 +85,21 @@ void FillBankColumns(
             col[e] |= ((rng.Next() >> 11) < t) ? bit : 0;
           }
         }
-        store(static_cast<size_t>(shards[i].index), col);
+        const size_t word = static_cast<size_t>(shards[i].index);
+        for (size_t e = 0; e < num_edges; ++e) up->row(e)[word] = col[e];
       },
       [](std::unique_ptr<FillContext>&) {});
 }
 
-}  // namespace internal
+}  // namespace
 
 WorldBank::WorldBank(const UncertainGraph& universe, const Options& options)
     : universe_(universe),
       num_worlds_(options.num_samples),
       world_words_((static_cast<size_t>(options.num_samples) + 63) / 64),
-      up_(universe.num_edges(), (static_cast<size_t>(options.num_samples) +
-                                 63) /
-                                    64) {
-  const size_t num_edges = universe.num_edges();
-  internal::FillBankColumns(
-      universe, options.num_samples, options.seed, options.num_threads,
-      [this, num_edges](size_t word, const uint64_t* col) {
-        for (size_t e = 0; e < num_edges; ++e) {
-          up_.row(e)[word] = col[e];
-        }
-      });
+      up_(universe.num_edges(), world_words_) {
+  FillBankColumns(universe, options.num_samples, options.seed,
+                  options.num_threads, &up_);
 }
 
 WorldBank::WorldBank(const UncertainGraph& universe, int num_worlds,
@@ -255,6 +247,55 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
   return propagated;
 }
 
+std::vector<uint64_t> WorldBank::WorldsWithAllEdges(
+    const std::vector<EdgeId>& edges) const {
+  std::vector<uint64_t> all(world_words_, ~uint64_t{0});
+  // Clear the tail bits beyond num_worlds so counts stay exact.
+  if (num_worlds_ & 63) {
+    all.back() = (uint64_t{1} << (num_worlds_ & 63)) - 1;
+  }
+  for (EdgeId e : edges) {
+    const uint64_t* const up = up_.row(e);
+    for (size_t w = 0; w < world_words_; ++w) all[w] &= up[w];
+  }
+  return all;
+}
+
+double WorldBank::ConnectedFraction(
+    NodeId s, NodeId t, const std::vector<EdgeId>& active,
+    std::vector<uint64_t> seed_connected) const {
+  RELMAX_CHECK(t < universe_.num_nodes());
+  bitlane::BitMatrix reach;
+  ReachabilityFixpoint(s, /*backward=*/false, active, &reach);
+  if (seed_connected.empty()) seed_connected.assign(world_words_, 0);
+  const uint64_t* const at_t = reach.row(t);
+  for (size_t w = 0; w < world_words_; ++w) {
+    seed_connected[w] |= at_t[w];
+  }
+  return static_cast<double>(
+             CountBits(seed_connected, static_cast<size_t>(num_worlds_))) /
+         num_worlds_;
+}
+
+std::vector<EdgeId> WorldBank::AllEdges() const {
+  // Sized by the bank's own rows, not universe().num_edges(): the graph may
+  // have grown edges since the bank was sampled.
+  std::vector<EdgeId> edges(num_edges());
+  for (size_t e = 0; e < edges.size(); ++e) edges[e] = static_cast<EdgeId>(e);
+  return edges;
+}
+
+int64_t WorldBank::CountBits(std::span<const uint64_t> bits, size_t limit) {
+  int64_t count = 0;
+  for (size_t word = 0; word * 64 < limit && word < bits.size(); ++word) {
+    uint64_t value = bits[word];
+    const size_t remaining = limit - word * 64;
+    if (remaining < 64) value &= (uint64_t{1} << remaining) - 1;
+    count += __builtin_popcountll(value);
+  }
+  return count;
+}
+
 namespace {
 
 std::atomic<int64_t> g_bank_fallbacks{0};
@@ -262,16 +303,13 @@ std::atomic<int64_t> g_bank_fallbacks{0};
 }  // namespace
 
 void NoteBankFallback(const char* consumer, size_t wanted_bytes,
-                      size_t cap_bytes, int num_shards) {
+                      size_t cap_bytes) {
   g_bank_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(
-      stderr,
-      "relmax: %s: shared-world bank needs %.1f MiB per shard "
-      "(%d shard%s) > %.1f MiB per-shard cap; falling back to per-query "
-      "re-sampling (slow path)\n",
-      consumer, static_cast<double>(wanted_bytes) / (1024.0 * 1024.0),
-      num_shards, num_shards == 1 ? "" : "s",
-      static_cast<double>(cap_bytes) / (1024.0 * 1024.0));
+  std::fprintf(stderr,
+               "relmax: %s: shared-world bank needs %.1f MiB > %.1f MiB cap; "
+               "falling back to per-query re-sampling (slow path)\n",
+               consumer, static_cast<double>(wanted_bytes) / (1024.0 * 1024.0),
+               static_cast<double>(cap_bytes) / (1024.0 * 1024.0));
 }
 
 int64_t BankFallbackCount() {

@@ -1,34 +1,15 @@
 #ifndef RELMAX_SAMPLING_WORLD_BANK_H_
 #define RELMAX_SAMPLING_WORLD_BANK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
 #include "sampling/bitlane.h"
-#include "sampling/world_view.h"
 
 namespace relmax {
-
-namespace internal {
-
-/// The canonical bank fill: samples `num_samples` worlds over `universe`'s
-/// edges with the counter-seeded sharded executor and hands each completed
-/// 64-world column batch to `store(word, col)`, where `col[e]` is bit-word
-/// `word` of edge e's world bitset. Both the flat and the sharded bank are
-/// filled through this one function, so their draws are the **same stream**
-/// — only the storage destination differs. That is the canonical-layout
-/// bit-identity contract: every stored bit is a pure function of
-/// (edge probs, num_samples, seed), independent of threads and partitions.
-/// `store` runs concurrently for distinct words; words never repeat.
-void FillBankColumns(
-    const UncertainGraph& universe, int num_samples, uint64_t seed,
-    int num_threads,
-    const std::function<void(size_t word, const uint64_t* col)>& store);
-
-}  // namespace internal
 
 /// A bank of Z possible worlds sampled **once** over a (small) graph's edge
 /// universe, stored as an edges × worlds presence bit-matrix.
@@ -41,7 +22,9 @@ void FillBankColumns(
 /// operations (`reach[v] |= reach[u] & up[e]`), so one machine word carries
 /// 64 worlds and no per-world BFS ever runs. Because every candidate is
 /// scored against the same worlds (common random numbers), greedy
-/// marginal-gain comparisons within a round share sampling noise.
+/// marginal-gain comparisons within a round share sampling noise. The
+/// evaluator, the greedy scorer, the batch engine and the reliability index
+/// all read the bank through this one class.
 ///
 /// Storage is one flat, 64-byte-aligned bitlane::BitMatrix whose rows are
 /// whole 512-bit lane blocks, so the fixpoint inner step moves a cache line
@@ -60,16 +43,27 @@ void FillBankColumns(
 /// algebra is unique, so block scheduling cannot change the converged bits.
 /// The bank is immutable after construction and safe to read from multiple
 /// threads.
-///
-/// This is the 1-shard WorldView; ShardedWorldBank (sharded_world_bank.h)
-/// splits the same bits across partition shards for graphs whose flat
-/// matrix would bust a footprint cap. MakeWorldView picks between them.
-class WorldBank : public WorldView {
+class WorldBank {
  public:
-  /// num_partitions is accepted for WorldViewOptions compatibility but
-  /// ignored here — the flat bank is always one shard. Use MakeWorldView
-  /// to honor it.
-  using Options = WorldViewOptions;
+  /// Construction knobs: Z, the draw-stream seed, and fill lanes (the
+  /// stored bits do not depend on num_threads).
+  struct Options {
+    int num_samples = 500;
+    uint64_t seed = 42;
+    int num_threads = 1;
+  };
+
+  /// What ReachabilityFixpoint may assume about a reused `reach` matrix.
+  ///
+  /// kClearScratch (the default): `reach` is scratch; the flood wipes it
+  /// and seeds only the source row. Use this unless you prepared `reach`.
+  ///
+  /// kSeedsAreFacts: every bit already set in `reach` is a known-reachable
+  /// fact to propagate from (the caller pre-seeded rows, e.g. path-derived
+  /// reachability). The flood must not clear them. If the matrix had to be
+  /// reallocated to fit the requested shape, the seeds are gone and the
+  /// flood degrades to kClearScratch semantics on a fresh matrix.
+  enum class SeedPolicy { kClearScratch, kSeedsAreFacts };
 
   /// Samples `options.num_samples` worlds over `universe`'s edges. The
   /// universe graph must outlive the bank.
@@ -85,27 +79,27 @@ class WorldBank : public WorldView {
   WorldBank(const UncertainGraph& universe, int num_worlds,
             bitlane::BitMatrix up);
 
-  int num_worlds() const override { return num_worlds_; }
-  const UncertainGraph& universe() const override { return universe_; }
+  int num_worlds() const { return num_worlds_; }
+  const UncertainGraph& universe() const { return universe_; }
 
   /// Edge rows in the bank — the universe's edge count **at construction**.
   /// If the graph is mutated afterwards, universe().num_edges() can exceed
   /// this; bank readers must size loops by this count, never the graph's.
-  size_t num_edges() const override { return up_.rows(); }
+  size_t num_edges() const { return up_.rows(); }
 
   /// Words in a world-indexed bitset (ceil(num_worlds / 64)).
-  size_t world_words() const override { return world_words_; }
-
-  int num_shards() const override { return 1; }
-  std::vector<size_t> ShardBankBytes() const override {
-    return {up_.rows() * world_words_ * sizeof(uint64_t)};
-  }
+  size_t world_words() const { return world_words_; }
 
   /// World-indexed bitset: the worlds in which logical edge `e` exists.
   /// A view into the bank's row (world_words() words); valid as long as the
   /// bank lives.
-  std::span<const uint64_t> EdgeUpWorlds(EdgeId e) const override {
+  std::span<const uint64_t> EdgeUpWorlds(EdgeId e) const {
     return up_.row_span(e);
+  }
+
+  /// True iff edge e is up in world w.
+  bool EdgePresent(int w, EdgeId e) const {
+    return (EdgeUpWorlds(e)[static_cast<size_t>(w) >> 6] >> (w & 63)) & 1;
   }
 
   /// Computes, for every world simultaneously, which nodes are reachable
@@ -114,18 +108,37 @@ class WorldBank : public WorldView {
   /// With `backward`, directed graphs propagate against arc direction
   /// (reachability *to* `source`). `*reach` is shaped to
   /// (num_nodes × world_words) and zeroed unless it already matches and
-  /// `seeds == kSeedsAreFacts` (see WorldView::SeedPolicy). Iterating
-  /// `active` in rough path order converges in ~2 passes.
+  /// `seeds == kSeedsAreFacts` (see SeedPolicy). Iterating `active` in rough
+  /// path order converges in ~2 passes.
   ///
   /// Returns the number of (edge, lane-block) propagation steps that
   /// actually added bits — 0 iff the seeded state was already a fixpoint.
   /// The frontier pass only revisits blocks dirtied since they were last
   /// relaxed, so a converged re-run touches each seeded block once and
-  /// changes nothing.
+  /// changes nothing. Deterministic for a given (bank, arguments): the
+  /// result is invariant under lane kernel and thread count.
   int64_t ReachabilityFixpoint(
       NodeId source, bool backward, const std::vector<EdgeId>& active,
       bitlane::BitMatrix* reach,
-      SeedPolicy seeds = SeedPolicy::kClearScratch) const override;
+      SeedPolicy seeds = SeedPolicy::kClearScratch) const;
+
+  /// Bitwise AND of the up-worlds of `edges` (all-ones when empty): the
+  /// worlds in which every listed edge is simultaneously up.
+  std::vector<uint64_t> WorldsWithAllEdges(
+      const std::vector<EdgeId>& edges) const;
+
+  /// Fraction of worlds where s reaches t over `active` edges. When
+  /// `seed_connected` is non-empty (world_words() words), those worlds are
+  /// counted as connected without flooding them again.
+  double ConnectedFraction(NodeId s, NodeId t,
+                           const std::vector<EdgeId>& active,
+                           std::vector<uint64_t> seed_connected = {}) const;
+
+  /// All bank edge ids, ascending — the "everything is active" edge set.
+  std::vector<EdgeId> AllEdges() const;
+
+  /// Popcount of the first `limit` bits of `bits`.
+  static int64_t CountBits(std::span<const uint64_t> bits, size_t limit);
 
  private:
   const UncertainGraph& universe_;
@@ -141,11 +154,10 @@ class WorldBank : public WorldView {
 /// re-sampling — correct but much slower. Each such event calls
 /// NoteBankFallback, which bumps a process-wide counter (surfaced as
 /// `bank_fallbacks` in batch stats) and prints a one-line stderr warning so
-/// operators can see they have fallen off the fast path. The budget is
-/// per-shard: `wanted_bytes` is the (balanced) footprint of one shard and
-/// `num_shards` says how many shards that estimate assumed.
+/// operators can see they have fallen off the fast path. `wanted_bytes` is
+/// the footprint the consumer needed and `cap_bytes` the cap it exceeded.
 void NoteBankFallback(const char* consumer, size_t wanted_bytes,
-                      size_t cap_bytes, int num_shards = 1);
+                      size_t cap_bytes);
 int64_t BankFallbackCount();
 
 }  // namespace relmax

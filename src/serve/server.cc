@@ -9,6 +9,8 @@
 #include <iostream>
 #include <utility>
 
+#include "graph/graph_io.h"
+
 namespace relmax {
 namespace serve {
 
@@ -43,7 +45,17 @@ bool Server::RunStream(std::istream& in, std::ostream& out) {
   std::string line;
   bool keep_listening = true;
   bool done = false;
-  while (!done && std::getline(in, line)) {
+  LineRead read;
+  while (!done && (read = ReadBoundedLine(in, &line)) != LineRead::kEof) {
+    if (read != LineRead::kOk) {
+      // The reader holds at most kMaxLineBytes of a line and has already
+      // skipped to the next one, so a hostile line costs one error response.
+      seq.Post(seq.NextSeq(),
+               ErrorResponse(Status::InvalidArgument(
+                   read == LineRead::kTooLong ? "line too long"
+                                              : "NUL byte in line")));
+      continue;
+    }
     const StatusOr<Request> parsed = ParseRequest(line);
     if (!parsed.ok()) {
       seq.Post(seq.NextSeq(), ErrorResponse(parsed.status()));

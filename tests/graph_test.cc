@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "graph/bfs.h"
@@ -309,6 +310,26 @@ TEST(GraphIoTest, RejectsNulBytes) {
         << "leading = " << leading;
   }
   std::remove(path.c_str());
+}
+
+TEST(GraphIoTest, BoundedLineReaderResyncsAfterOverlongLine) {
+  // The shared reader keeps at most kMaxLineBytes of a line, reports the
+  // overflow once, and resumes on the following line; CRLF is stripped and
+  // a final line without a newline still counts.
+  std::string text = "abc\r\n" + std::string(kMaxLineBytes + 1, 'y');
+  text += "\nde";
+  text += '\0';
+  text += "f\nlast";
+  std::istringstream in(text);
+  std::string line;
+  EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kOk);
+  EXPECT_EQ(line, "abc");
+  EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kTooLong);
+  EXPECT_LE(line.size(), kMaxLineBytes);
+  EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kNulByte);
+  EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kOk);
+  EXPECT_EQ(line, "last");
+  EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kEof);
 }
 
 TEST(GraphIoTest, MissingFile) {

@@ -1,8 +1,8 @@
 // index_io: the persistent index file must round-trip bit-identically across
-// every (directedness × partitions × lane mode × threads) combination, every
-// corruption of the file must surface as a typed Status (never UB) with the
-// query engine falling back to a clean rebuild, and atomic republish must
-// bump the generation counter.
+// every (directedness × lane mode × threads) combination, every corruption of
+// the file must surface as a typed Status (never UB) with the query engine
+// falling back to a clean rebuild, and atomic republish must bump the
+// generation counter.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -23,7 +23,7 @@
 #include "oracle_util.h"
 #include "query/query_engine.h"
 #include "sampling/bitlane.h"
-#include "sampling/world_view.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 namespace {
@@ -48,7 +48,7 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-std::vector<uint64_t> FloodRow(const WorldView& bank, NodeId s, NodeId t) {
+std::vector<uint64_t> FloodRow(const WorldBank& bank, NodeId s, NodeId t) {
   bitlane::BitMatrix reach;
   bank.ReachabilityFixpoint(s, /*backward=*/false, bank.AllEdges(), &reach);
   const std::span<const uint64_t> row = reach.row_span(t);
@@ -72,13 +72,13 @@ void WriteFileBytes(const std::string& path,
 
 // Builds bank + index for (g, world_options) and saves to `path`.
 void BuildAndSave(const UncertainGraph& g,
-                  const WorldViewOptions& world_options,
+                  const WorldBank::Options& world_options,
                   const std::string& path) {
-  const std::unique_ptr<WorldView> bank = MakeWorldView(g, world_options);
-  const ReliabilityIndex index(*bank,
+  const WorldBank bank(g, world_options);
+  const ReliabilityIndex index(bank,
                                {.num_threads = world_options.num_threads});
   const StatusOr<size_t> saved =
-      SaveIndex(*bank, index, world_options, /*generation=*/1, path);
+      SaveIndex(bank, index, world_options, /*generation=*/1, path);
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
   EXPECT_GT(*saved, sizeof(IndexFileHeader));
 }
@@ -90,44 +90,39 @@ constexpr int kZ = 200;
 TEST(IndexIoTest, RoundTripSweepIsBitIdentical) {
   for (const bool directed : {false, true}) {
     const UncertainGraph g = RandomGraph(211, 13, 0.2, directed);
-    // The reference answers come from a flat single-threaded scalar build;
-    // every other configuration must reproduce them bit for bit after a
+    // The reference answers come from a single-threaded scalar build; every
+    // other configuration must reproduce them bit for bit after a
     // save/load round trip.
-    const std::unique_ptr<WorldView> ref_bank =
-        MakeWorldView(g, {.num_samples = kZ, .seed = 7});
-    ReliabilityIndex ref(*ref_bank, {});
-    for (const int partitions : {1, 2, 4}) {
-      for (const bitlane::LaneMode mode :
-           {bitlane::LaneMode::kScalar, bitlane::LaneMode::kBlocked}) {
-        for (const int threads : {1, 3}) {
-          const bitlane::ScopedLaneMode scoped(mode);
-          const WorldViewOptions options{.num_samples = kZ,
-                                         .seed = 7,
-                                         .num_threads = threads,
-                                         .num_partitions = partitions};
-          const std::string path = TempPath("roundtrip.rmx");
-          BuildAndSave(g, options, path);
-          StatusOr<LoadedIndex> loaded = LoadIndex(path, g, options, {});
-          ASSERT_TRUE(loaded.ok())
-              << loaded.status().ToString() << " directed=" << directed
-              << " partitions=" << partitions << " threads=" << threads;
-          // Restored with no sampling and no relabeling.
-          EXPECT_EQ(loaded->index->stats().builds, 0u);
-          EXPECT_EQ(loaded->index->stats().worlds_relabeled, 0u);
-          EXPECT_EQ(loaded->generation, 1u);
-          for (NodeId s = 0; s < g.num_nodes(); ++s) {
-            for (NodeId t = 0; t < g.num_nodes(); ++t) {
-              EXPECT_EQ(loaded->index->ConnectedWorlds(s, t),
-                        ref.ConnectedWorlds(s, t))
-                  << "directed=" << directed << " partitions=" << partitions
-                  << " mode=" << bitlane::ModeName(mode)
-                  << " threads=" << threads << " (" << s << ", " << t << ")";
-            }
+    const WorldBank ref_bank(g, {.num_samples = kZ, .seed = 7});
+    ReliabilityIndex ref(ref_bank, {});
+    for (const bitlane::LaneMode mode :
+         {bitlane::LaneMode::kScalar, bitlane::LaneMode::kBlocked}) {
+      for (const int threads : {1, 3}) {
+        const bitlane::ScopedLaneMode scoped(mode);
+        const WorldBank::Options options{
+            .num_samples = kZ, .seed = 7, .num_threads = threads};
+        const std::string path = TempPath("roundtrip.rmx");
+        BuildAndSave(g, options, path);
+        StatusOr<LoadedIndex> loaded = LoadIndex(path, g, options, {});
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString()
+                                 << " directed=" << directed
+                                 << " threads=" << threads;
+        // Restored with no sampling and no relabeling.
+        EXPECT_EQ(loaded->index->stats().builds, 0u);
+        EXPECT_EQ(loaded->index->stats().worlds_relabeled, 0u);
+        EXPECT_EQ(loaded->generation, 1u);
+        for (NodeId s = 0; s < g.num_nodes(); ++s) {
+          for (NodeId t = 0; t < g.num_nodes(); ++t) {
+            EXPECT_EQ(loaded->index->ConnectedWorlds(s, t),
+                      ref.ConnectedWorlds(s, t))
+                << "directed=" << directed
+                << " mode=" << bitlane::ModeName(mode)
+                << " threads=" << threads << " (" << s << ", " << t << ")";
           }
-          // The adopted mmap-ed bank itself floods identically too.
-          EXPECT_EQ(FloodRow(*loaded->bank, 0, g.num_nodes() - 1),
-                    FloodRow(*ref_bank, 0, g.num_nodes() - 1));
         }
+        // The adopted mmap-ed bank itself floods identically too.
+        EXPECT_EQ(FloodRow(*loaded->bank, 0, g.num_nodes() - 1),
+                  FloodRow(ref_bank, 0, g.num_nodes() - 1));
       }
     }
   }
@@ -139,7 +134,7 @@ TEST(IndexIoTest, LoadedIndexMatchesExactOracle) {
       const UncertainGraph g =
           oracle::SmallRandomGraph(900 + seed, 7, 10, directed);
       if (g.num_edges() == 0) continue;
-      const WorldViewOptions options{.num_samples = 4000, .seed = 13};
+      const WorldBank::Options options{.num_samples = 4000, .seed = 13};
       const std::string path = TempPath("oracle.rmx");
       BuildAndSave(g, options, path);
       StatusOr<LoadedIndex> loaded = LoadIndex(path, g, options, {});
@@ -189,15 +184,14 @@ TEST(IndexIoTest, MissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
-// Fixture for the corruption battery: one saved sharded file (sharded so a
-// partition-map section exists), plus helpers that corrupt a copy and assert
-// the typed error AND the query engine's clean rebuild fallback.
+// Fixture for the corruption battery: one saved file, plus helpers that
+// corrupt a copy and assert the typed error AND the query engine's clean
+// rebuild fallback.
 class IndexIoCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     graph_ = RandomGraph(401, 12, 0.25, true);
-    options_ = WorldViewOptions{.num_samples = kZ, .seed = 5,
-                                .num_partitions = 2};
+    options_ = WorldBank::Options{.num_samples = kZ, .seed = 5};
     path_ = TempPath("corrupt.rmx");
     BuildAndSave(graph_, options_, path_);
     pristine_ = ReadFileBytes(path_);
@@ -205,8 +199,8 @@ class IndexIoCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     info_ = *info;
     ASSERT_EQ(info_.header.num_sections, info_.sections.size());
-    // 2 bank shards + labels + compaction + partition map.
-    ASSERT_EQ(info_.sections.size(), 5u);
+    // Bank rows + labels + compaction.
+    ASSERT_EQ(info_.sections.size(), 3u);
   }
 
   StatusCode LoadCode(std::string* message = nullptr) {
@@ -222,7 +216,6 @@ class IndexIoCorruptionTest : public ::testing::Test {
     QueryEngineOptions engine_options;
     engine_options.num_samples = options_.num_samples;
     engine_options.seed = options_.seed;
-    engine_options.num_partitions = options_.num_partitions;
     engine_options.index_file = path_;
     QueryEngine with_file(graph_, engine_options);
     QueryEngineOptions no_file = engine_options;
@@ -243,7 +236,7 @@ class IndexIoCorruptionTest : public ::testing::Test {
   }
 
   UncertainGraph graph_ = UncertainGraph::Undirected(0);
-  WorldViewOptions options_;
+  WorldBank::Options options_;
   std::string path_;
   std::vector<unsigned char> pristine_;
   IndexFileInfo info_;
@@ -364,24 +357,26 @@ TEST_F(IndexIoCorruptionTest, BadMagicAndVersionAreFailedPrecondition) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, OutOfRangePartitionMapIsInvalidArgument) {
-  // Corrupt the partition map to an impossible shard id and re-checksum that
-  // section so the failure exercises the payload validation, not the
-  // checksum. The footer layout is [magic][table checksum][per-section...].
-  std::vector<unsigned char> bytes = pristine_;
-  const IndexSectionEntry& pm = info_.sections.back();
-  uint32_t shard = 0xffff;
-  std::memcpy(bytes.data() + pm.offset, &shard, sizeof(shard));
-  const uint64_t checksum = HashBytes(bytes.data() + pm.offset, pm.length);
-  const size_t checksum_at = bytes.size() -
-                             info_.sections.size() * sizeof(uint64_t) +
-                             (info_.sections.size() - 1) * sizeof(uint64_t);
-  std::memcpy(bytes.data() + checksum_at, &checksum, sizeof(checksum));
-  WriteFileBytes(path_, bytes);
-  std::string message;
-  EXPECT_EQ(LoadCode(&message), StatusCode::kInvalidArgument);
-  EXPECT_NE(message.find("shard"), std::string::npos) << message;
-  ExpectEngineRebuildFallback();
+TEST_F(IndexIoCorruptionTest, ShardedLayoutHeaderIsFailedPrecondition) {
+  // Only the flat bank layout exists: a header declaring 2 partitions, 2
+  // shards or flags == kIndexFlagSharded (as edge-cut sharded builds wrote)
+  // is refused with a typed error before any payload is read.
+  static_assert(kIndexFlagSharded == 2);
+  for (const size_t offset : {offsetof(IndexFileHeader, partition_count),
+                              offsetof(IndexFileHeader, num_shards),
+                              offsetof(IndexFileHeader, flags)}) {
+    std::vector<unsigned char> bytes = pristine_;
+    const uint32_t two = 2;
+    std::memcpy(bytes.data() + offset, &two, sizeof(two));
+    WriteFileBytes(path_, bytes);
+    std::string message;
+    EXPECT_EQ(LoadCode(&message), StatusCode::kFailedPrecondition)
+        << "offset " << offset;
+    EXPECT_NE(message.find("sharded"), std::string::npos) << message;
+    EXPECT_EQ(InspectIndexFile(path_).status().code(),
+              StatusCode::kFailedPrecondition);
+    ExpectEngineRebuildFallback();
+  }
 }
 
 TEST(IndexIoEngineTest, BatchLoadElseBuildAndSave) {

@@ -296,27 +296,6 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "index: 20000 worlds, 2 label bits, 20032 label bytes, "
             "20000 worlds relabeled, 3 reach floods\n");
 
-  // Partition-sharded bank: identical R values and flood counts — the
-  // sharded fill replays the flat bank's canonical draw stream, so only the
-  // per-shard byte accounting may differ from the flat run. Example-3's two
-  // edges both land in shard 1 (edge owner is the min endpoint shard), so
-  // the partitioner warns once that shard 0 owns no edges.
-  const std::string sharded = NormalizeTimings(RunCli(
-      "batch --graph " + graph + " --queries " + queries +
-      " --samples 20000 --seed 5 --partitions 2 --threads " + threads));
-  EXPECT_EQ(sharded,
-            "relmax: partitioner: 1 of 2 shards own no edges (graph too "
-            "small for the requested --partitions); they contribute nothing "
-            "but bookkeeping\n"
-            "R(2, 3) = 0.3004\n"
-            "R(2, 1) = 0.9006\n"
-            "R(0, 3) = 0.0000\n"
-            "R(2, 3) = 0.3004\n"
-            "R(1, 3) = 0.0000\n"
-            "batch: 5 queries, 4 distinct pairs, 3 floods, "
-            "0 fallback estimates, 0 index answers, 0 cache hits "
-            "(20000 samples, shard bank bytes [0 5008], <t> s)\n");
-
   // Per-query fallback: one estimate per distinct pair. R(2, 3) must match
   // the `estimate` golden above exactly — the fallback IS that code path.
   const std::string fallback = NormalizeTimings(RunCli(

@@ -25,7 +25,6 @@
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
-#include "sampling/world_view.h"
 
 namespace relmax {
 namespace {
@@ -307,28 +306,24 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
   }
 
   // (2) Shared-world path: one bank for the whole batch; the answers must
-  // be bit-identical across thread counts, lane kernels, AND partition
-  // shard counts (the (threads, lane-width, shards)-invariance contract),
-  // and within 3σ of the exact enumeration.
+  // be bit-identical across thread counts and lane kernels (the
+  // (threads, lane-width)-invariance contract), and within 3σ of the exact
+  // enumeration.
   std::vector<double> reference;
-  for (const int shards : {1, 2, 4}) {
-    for (const bitlane::LaneMode mode :
-         {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
-      const bitlane::ScopedLaneMode scoped(mode);
-      for (const int threads : {1, 3}) {
-        QueryEngineOptions shared = options;
-        shared.num_threads = threads;
-        shared.num_partitions = shards;
-        QueryEngine engine(g, shared);
-        const auto result = engine.Answer(set);
-        ASSERT_TRUE(result.ok());
-        if (reference.empty()) {
-          reference = result->st_values;
-        } else {
-          EXPECT_EQ(result->st_values, reference)
-              << bitlane::ModeName(mode) << ", threads = " << threads
-              << ", shards = " << shards;
-        }
+  for (const bitlane::LaneMode mode :
+       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+    const bitlane::ScopedLaneMode scoped(mode);
+    for (const int threads : {1, 3}) {
+      QueryEngineOptions shared = options;
+      shared.num_threads = threads;
+      QueryEngine engine(g, shared);
+      const auto result = engine.Answer(set);
+      ASSERT_TRUE(result.ok());
+      if (reference.empty()) {
+        reference = result->st_values;
+      } else {
+        EXPECT_EQ(result->st_values, reference)
+            << bitlane::ModeName(mode) << ", threads = " << threads;
       }
     }
   }
@@ -344,27 +339,22 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
 
   // (3) Index path: per-world component/SCC labels over the same bank must
   // reproduce the shared-flood answers bit-for-bit (hence also within 3σ of
-  // the oracle), for any thread count, lane kernel, and shard count (the
-  // sharded union-find labeling joins shard-local components across cut
-  // edges; union-find's final partition is order-independent).
-  for (const int shards : {1, 2, 4}) {
-    for (const bitlane::LaneMode mode :
-         {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
-      const bitlane::ScopedLaneMode scoped(mode);
-      for (const int threads : {1, 3}) {
-        QueryEngineOptions indexed = options;
-        indexed.use_index = true;
-        indexed.num_threads = threads;
-        indexed.num_partitions = shards;
-        QueryEngine engine(g, indexed);
-        const auto result = engine.Answer(set);
-        ASSERT_TRUE(result.ok());
-        EXPECT_EQ(result->st_values, reference)
-            << "index, " << bitlane::ModeName(mode)
-            << ", threads = " << threads << ", shards = " << shards;
-        EXPECT_EQ(result->stats.floods, 0u);
-        EXPECT_EQ(result->stats.index_answers, result->stats.distinct_pairs);
-      }
+  // the oracle), for any thread count and lane kernel.
+  for (const bitlane::LaneMode mode :
+       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+    const bitlane::ScopedLaneMode scoped(mode);
+    for (const int threads : {1, 3}) {
+      QueryEngineOptions indexed = options;
+      indexed.use_index = true;
+      indexed.num_threads = threads;
+      QueryEngine engine(g, indexed);
+      const auto result = engine.Answer(set);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->st_values, reference)
+          << "index, " << bitlane::ModeName(mode)
+          << ", threads = " << threads;
+      EXPECT_EQ(result->stats.floods, 0u);
+      EXPECT_EQ(result->stats.index_answers, result->stats.distinct_pairs);
     }
   }
 }
@@ -372,18 +362,17 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchQueryConformanceSweep,
                          testing::Range(0, 8));
 
-// ------------------------------------ partition-shard conformance sweep
+// ------------------------------------------ bank consumer conformance sweep
 
 // Every bank consumer — the evaluate primitive (ConnectedFraction), greedy
 // hill-climbing selection, the batch query engine, and the reliability-index
-// path — must produce bit-equal answers across {1, 2, 4} partition shards ×
-// {blocked, scalar} lane kernels × {1, 3} threads. Z = 4030 (4030 % 64 = 62)
-// keeps the tail-masking word live in every combination: a sharded scatter
-// or boundary exchange that leaks pad bits shows up here as a popcount
-// mismatch.
-class ShardedConformanceSweep : public testing::TestWithParam<int> {};
+// path — must produce bit-equal answers across {blocked, scalar} lane
+// kernels × {1, 3} threads. Z = 4030 (4030 % 64 = 62) keeps the
+// tail-masking word live in every combination: a fill or flood that leaks
+// pad bits shows up here as a popcount mismatch.
+class BankConsumerConformanceSweep : public testing::TestWithParam<int> {};
 
-TEST_P(ShardedConformanceSweep, ConsumersBitEqualAcrossShardsLanesThreads) {
+TEST_P(BankConsumerConformanceSweep, ConsumersBitEqualAcrossLanesThreads) {
   const int param = GetParam();
   const bool directed = param % 2 == 0;
   const NodeId n = 6 + param % 3;
@@ -413,70 +402,63 @@ TEST_P(ShardedConformanceSweep, ConsumersBitEqualAcrossShardsLanesThreads) {
   double evaluate_ref = 0.0;
   std::vector<std::pair<NodeId, NodeId>> greedy_ref;
   std::vector<double> batch_ref;
-  for (const int shards : {1, 2, 4}) {
-    for (const bitlane::LaneMode mode :
-         {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
-      const bitlane::ScopedLaneMode scoped(mode);
-      for (const int threads : {1, 3}) {
-        const std::string where = std::string(bitlane::ModeName(mode)) +
-                                  ", threads = " + std::to_string(threads) +
-                                  ", shards = " + std::to_string(shards);
+  for (const bitlane::LaneMode mode :
+       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+    const bitlane::ScopedLaneMode scoped(mode);
+    for (const int threads : {1, 3}) {
+      const std::string where = std::string(bitlane::ModeName(mode)) +
+                                ", threads = " + std::to_string(threads);
 
-        // Evaluate path: the flood-lane primitive behind EstimateWithOptions
-        // and PathSetEvaluator, straight through the WorldView factory.
-        const std::unique_ptr<WorldView> view =
-            MakeWorldView(g, {.num_samples = kSamples,
-                              .seed = 61,
-                              .num_threads = threads,
-                              .num_partitions = shards});
-        const double frac = view->ConnectedFraction(s, t, view->AllEdges());
+      // Evaluate path: the flood-lane primitive behind EstimateWithOptions
+      // and PathSetEvaluator, straight on a bank.
+      const WorldBank bank(
+          g, {.num_samples = kSamples, .seed = 61, .num_threads = threads});
+      const double frac = bank.ConnectedFraction(s, t, bank.AllEdges());
 
-        // Greedy selection path: hill climbing scores candidates over a
-        // shared bank built with the same partition count.
-        SolverOptions solver;
-        solver.budget_k = 2;
-        solver.num_samples = kSamples;
-        solver.elimination_samples = kSamples;
-        solver.seed = 62;
-        solver.num_threads = threads;
-        solver.num_partitions = shards;
-        const auto picked = SelectHillClimbing(g, s, t, candidates, solver);
-        ASSERT_TRUE(picked.ok()) << where;
+      // Greedy selection path: hill climbing scores candidates over a
+      // shared bank.
+      SolverOptions solver;
+      solver.budget_k = 2;
+      solver.num_samples = kSamples;
+      solver.elimination_samples = kSamples;
+      solver.seed = 62;
+      solver.num_threads = threads;
+      const auto picked = SelectHillClimbing(g, s, t, candidates, solver);
+      ASSERT_TRUE(picked.ok()) << where;
 
-        // Batch query path.
-        QueryEngineOptions batch_options;
-        batch_options.num_samples = kSamples;
-        batch_options.seed = 63;
-        batch_options.num_threads = threads;
-        batch_options.num_partitions = shards;
-        QueryEngine engine(g, batch_options);
-        const auto batch = engine.Answer(set);
-        ASSERT_TRUE(batch.ok()) << where;
+      // Batch query path.
+      QueryEngineOptions batch_options;
+      batch_options.num_samples = kSamples;
+      batch_options.seed = 63;
+      batch_options.num_threads = threads;
+      QueryEngine engine(g, batch_options);
+      const auto batch = engine.Answer(set);
+      ASSERT_TRUE(batch.ok()) << where;
 
-        // Index path: must equal this combination's flood answers exactly.
-        QueryEngineOptions index_options = batch_options;
-        index_options.use_index = true;
-        QueryEngine index_engine(g, index_options);
-        const auto indexed = index_engine.Answer(set);
-        ASSERT_TRUE(indexed.ok()) << where;
-        EXPECT_EQ(indexed->st_values, batch->st_values) << "index, " << where;
+      // Index path: must equal this combination's flood answers exactly.
+      QueryEngineOptions index_options = batch_options;
+      index_options.use_index = true;
+      QueryEngine index_engine(g, index_options);
+      const auto indexed = index_engine.Answer(set);
+      ASSERT_TRUE(indexed.ok()) << where;
+      EXPECT_EQ(indexed->st_values, batch->st_values) << "index, " << where;
 
-        if (!have_ref) {
-          have_ref = true;
-          evaluate_ref = frac;
-          greedy_ref = endpoints(*picked);
-          batch_ref = batch->st_values;
-        } else {
-          EXPECT_EQ(frac, evaluate_ref) << "evaluate, " << where;
-          EXPECT_EQ(endpoints(*picked), greedy_ref) << "greedy, " << where;
-          EXPECT_EQ(batch->st_values, batch_ref) << "batch, " << where;
-        }
+      if (!have_ref) {
+        have_ref = true;
+        evaluate_ref = frac;
+        greedy_ref = endpoints(*picked);
+        batch_ref = batch->st_values;
+      } else {
+        EXPECT_EQ(frac, evaluate_ref) << "evaluate, " << where;
+        EXPECT_EQ(endpoints(*picked), greedy_ref) << "greedy, " << where;
+        EXPECT_EQ(batch->st_values, batch_ref) << "batch, " << where;
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedConformanceSweep, testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, BankConsumerConformanceSweep,
+                         testing::Range(0, 6));
 
 // ------------------------------------------------------- failure injection
 

@@ -232,6 +232,36 @@ TEST(ServeServerTest, InvalidQueryIsTypedErrorAndStreamContinues) {
   EXPECT_EQ(line.compare(0, 8, "R(2, 1) "), 0) << line;
 }
 
+// A client streaming bytes with no newline cannot grow the daemon's memory:
+// the line is answered with one typed error, the reader resynchronizes at
+// the next newline, and the stream carries on with batch-identical answers.
+TEST(ServeServerTest, OverlongAndNulLinesAreTypedErrorsAndStreamResyncs) {
+  const UncertainGraph g = Example3();
+  ServeOptions options;
+  options.engine.num_samples = 200;
+  options.engine.seed = 5;
+  Server server(g, options);
+  std::string script(size_t{2} << 20, 'x');
+  script += "\nquery 2 3\nquery 2";
+  script += '\0';
+  script += " 1\nquery 2 1\nquit\n";
+  std::istringstream in(script);
+  std::ostringstream out;
+  server.Run(in, out);
+
+  QueryEngine reference(g, options.engine);
+  QuerySet set;
+  set.AddSt(2, 3);
+  set.AddSt(2, 1);
+  const auto batch = reference.Answer(set);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(out.str(), "ERR InvalidArgument: line too long\n" +
+                           serve::QueryResponse(2, 3, batch->st_values[0]) +
+                           "\nERR InvalidArgument: NUL byte in line\n" +
+                           serve::QueryResponse(2, 1, batch->st_values[1]) +
+                           "\nOK bye\n");
+}
+
 // ------------------------------------------------------------ epochs
 
 // A query submitted before a publish answers on the old epoch; one submitted

@@ -42,8 +42,6 @@ LABEL_REQUIRED_KEYS = {
                       "speedup_index_vs_flood", "bit_identical"),
     "pr7_pre_simd_baseline": ("cpu_time_ms", "worlds_per_second"),
     "pr7_simd_frontier_kernels": ("cpu_time_ms", "worlds_per_second"),
-    "sharded_flood": ("shards", "worlds_per_second", "peak_rss_bytes",
-                      "bit_identical"),
     "serving": ("p50_ms", "p99_ms", "p999_ms", "qps", "shed",
                 "bit_identical"),
 }
@@ -62,7 +60,6 @@ KNOWN_MICRO_BENCHMARKS = frozenset({
     "BM_YenTopL",
     "BM_SearchSpaceElimination",
     "BM_ReachabilityFixpoint",
-    "BM_ShardedFixpoint",
     "BM_WorldBankFill",
     "BM_WorldEnsembleBuild",
     "BM_IndexSave",
