@@ -80,7 +80,7 @@ Status UncertainGraph::AddEdge(NodeId u, NodeId v, double p) {
     return Status::OutOfRange("edge endpoint exceeds num_nodes");
   }
   if (u == v) return Status::InvalidArgument("self-loops are not supported");
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // also rejects NaN
     return Status::InvalidArgument("edge probability must be in [0, 1]");
   }
   const uint64_t key = EdgeKey(u, v);
@@ -102,7 +102,7 @@ Status UncertainGraph::AddEdge(NodeId u, NodeId v, double p) {
 }
 
 Status UncertainGraph::UpdateEdgeProb(NodeId u, NodeId v, double p) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // also rejects NaN
     return Status::InvalidArgument("edge probability must be in [0, 1]");
   }
   auto it = edge_index_.find(EdgeKey(u, v));

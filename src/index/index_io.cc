@@ -606,8 +606,8 @@ StatusOr<LoadedIndex> LoadIndex(
   }
   std::vector<uint64_t> labels(label_words_expected);
   std::memcpy(labels.data(), base + labels_entry.offset, labels_entry.length);
-  out.index = ReliabilityIndex::FromSavedLabels(*out.bank, index_options,
-                                                std::move(labels));
+  out.index = std::make_unique<ReliabilityIndex>(*out.bank, index_options,
+                                                 std::move(labels));
   out.generation = h.generation;
   out.file_bytes = file_size;
   return out;

@@ -75,17 +75,11 @@ bool ReliabilityIndex::Fits(const UncertainGraph& g, int num_samples,
 
 ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                    const Options& options)
-    : bank_(&bank),
-      options_(options),
-      num_nodes_(bank.universe().num_nodes()),
-      num_worlds_(bank.num_worlds()),
-      world_words_(bank.world_words()),
-      label_bits_(LabelBits(bank.universe().num_nodes())),
-      directed_(bank.universe().directed()) {
-  RELMAX_CHECK(Fits(bank.universe(), num_worlds_, options_));
-  labels_.assign(static_cast<size_t>(num_nodes_) * label_bits_ * world_words_,
-                 0);
-  all_edges_ = bank.AllEdges();
+    : ReliabilityIndex(bank, options,
+                       std::vector<uint64_t>(
+                           LabelBytes(bank.universe().num_nodes(),
+                                      bank.num_worlds()) /
+                           sizeof(uint64_t))) {
   ++stats_.builds;
   stats_.worlds_relabeled += static_cast<size_t>(num_worlds_);
   RelabelWorlds(AllWorlds(num_worlds_, world_words_));
@@ -93,7 +87,7 @@ ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
 
 ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                    const Options& options,
-                                   std::vector<uint64_t> labels, AdoptLabels)
+                                   std::vector<uint64_t> labels)
     : bank_(&bank),
       options_(options),
       num_nodes_(bank.universe().num_nodes()),
@@ -105,14 +99,13 @@ ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
   RELMAX_CHECK(Fits(bank.universe(), num_worlds_, options_));
   RELMAX_CHECK(labels_.size() == static_cast<size_t>(num_nodes_) *
                                      label_bits_ * world_words_);
-  all_edges_ = bank.AllEdges();
 }
 
-std::unique_ptr<ReliabilityIndex> ReliabilityIndex::FromSavedLabels(
-    const WorldBank& bank, const Options& options,
-    std::vector<uint64_t> labels) {
-  return std::unique_ptr<ReliabilityIndex>(
-      new ReliabilityIndex(bank, options, std::move(labels), AdoptLabels{}));
+std::unique_ptr<ReliabilityIndex> ReliabilityIndex::Clone(
+    int num_threads) const {
+  Options options = options_;
+  options.num_threads = num_threads;
+  return std::make_unique<ReliabilityIndex>(*bank_, options, labels_);
 }
 
 void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
@@ -260,39 +253,47 @@ std::vector<uint64_t> ReliabilityIndex::EqualLabelWorlds(NodeId s,
   return eq;
 }
 
-const std::vector<uint64_t>& ReliabilityIndex::SourceReach(NodeId s) {
-  const auto it = reach_cache_.find(s);
-  if (it != reach_cache_.end()) return it->second;
-  bitlane::BitMatrix reach;
-  bank_->ReachabilityFixpoint(s, /*backward=*/false, all_edges_, &reach);
-  ++stats_.reach_floods;
-  std::vector<uint64_t> flat(static_cast<size_t>(num_nodes_) * world_words_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const uint64_t* const row = reach.row(v);
-    std::copy(row, row + world_words_,
-              flat.begin() + static_cast<size_t>(v) * world_words_);
+std::shared_ptr<const bitlane::BitMatrix> ReliabilityIndex::SourceReach(
+    NodeId s) const {
+  {
+    std::lock_guard<std::mutex> lock(reach_mu_);
+    const auto it = reach_cache_.find(s);
+    if (it != reach_cache_.end()) return it->second;
   }
-  // FIFO eviction under the byte cap. A row larger than the whole cap is
-  // still admitted (the caller holds a reference); it is evicted next time.
-  const size_t row_bytes = flat.size() * sizeof(uint64_t);
-  while (!reach_order_.empty() &&
-         (reach_cache_.size() + 1) * row_bytes > options_.max_reach_bytes) {
+  auto reach = std::make_shared<bitlane::BitMatrix>();
+  bank_->ReachabilityFixpoint(s, /*backward=*/false, bank_->AllEdges(),
+                              reach.get());
+  std::lock_guard<std::mutex> lock(reach_mu_);
+  ++stats_.reach_floods;
+  if (!reach_cache_.emplace(s, reach).second) return reach;  // raced: same bits
+  reach_order_.push_back(s);
+  const size_t matrix_bytes =
+      reach->rows() * reach->stride_words() * sizeof(uint64_t);
+  reach_bytes_ += matrix_bytes;
+  // FIFO eviction under the byte cap (all matrices have one shape). A matrix
+  // over the whole cap goes too; the caller's reference keeps it alive.
+  while (reach_bytes_ > options_.max_reach_bytes) {
     reach_cache_.erase(reach_order_.front());
+    reach_bytes_ -= matrix_bytes;
     reach_order_.pop_front();
     ++stats_.reach_row_evictions;
   }
-  const auto inserted = reach_cache_.emplace(s, std::move(flat));
-  reach_order_.push_back(s);
   stats_.reach_rows_cached = reach_cache_.size();
-  return inserted.first->second;
+  return reach;
 }
 
 size_t ReliabilityIndex::reach_cache_bytes() const {
-  return reach_cache_.size() * static_cast<size_t>(num_nodes_) *
-         world_words_ * sizeof(uint64_t);
+  std::lock_guard<std::mutex> lock(reach_mu_);
+  return reach_bytes_;
 }
 
-std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
+ReliabilityIndex::Stats ReliabilityIndex::stats() const {
+  std::lock_guard<std::mutex> lock(reach_mu_);
+  return stats_;
+}
+
+std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
+                                                        NodeId t) const {
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
   std::vector<uint64_t> eq = EqualLabelWorlds(s, t);
   if (!directed_) return eq;
@@ -302,12 +303,12 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
       num_worlds_) {
     return eq;
   }
-  const std::vector<uint64_t>& rows = SourceReach(s);
-  const uint64_t* row = rows.data() + static_cast<size_t>(t) * world_words_;
-  return std::vector<uint64_t>(row, row + world_words_);
+  const std::shared_ptr<const bitlane::BitMatrix> reach = SourceReach(s);
+  const std::span<const uint64_t> row = reach->row_span(t);
+  return std::vector<uint64_t>(row.begin(), row.end());
 }
 
-double ReliabilityIndex::Query(NodeId s, NodeId t) {
+double ReliabilityIndex::Query(NodeId s, NodeId t) const {
   return static_cast<double>(
              WorldBank::CountBits(ConnectedWorlds(s, t),
                                   static_cast<size_t>(num_worlds_))) /
@@ -352,7 +353,6 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
   RELMAX_CHECK(fresh.universe().directed() == directed_);
   RELMAX_CHECK(affected.size() == world_words_);
   bank_ = &fresh;
-  all_edges_ = fresh.AllEdges();
   // Reach rows mix affected and unaffected worlds in one flood; rebuild them
   // lazily rather than patching. The reach counters reset with the cache —
   // they describe the cache since its last drop (see Stats) — so incremental
@@ -360,6 +360,7 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
   // that served the pre-update bank.
   reach_cache_.clear();
   reach_order_.clear();
+  reach_bytes_ = 0;
   stats_.reach_rows_cached = 0;
   stats_.reach_floods = 0;
   stats_.reach_row_evictions = 0;

@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/uncertain_graph.h"
+#include "sampling/bitlane.h"
 #include "sampling/world_bank.h"
 
 namespace relmax {
@@ -37,9 +39,9 @@ namespace relmax {
 /// where s and t are mutually reachable; when that covers every world the
 /// query is answered outright (R = 1). Residual one-way reachability comes
 /// from a lazily cached per-source reach row: the first query from source s
-/// runs one word-parallel flood over the bank and memoizes all n target rows,
-/// so subsequent queries from s are single-row popcounts. Rows are evicted
-/// FIFO under `Options::max_reach_bytes`.
+/// runs one word-parallel flood over the bank and memoizes its n × Z reach
+/// matrix, so subsequent queries from s are single-row popcounts. Matrices
+/// are evicted FIFO under `Options::max_reach_bytes`.
 ///
 /// **Bit purity:** every answer equals the shared-flood path over the same
 /// bank, bit for bit — components/SCCs and floods are exact per world, so the
@@ -60,6 +62,9 @@ namespace relmax {
 /// whole index is a pure function of the bank bits — bit-identical for any
 /// num_threads. Queries never depend on cache state: eviction changes which
 /// floods re-run, never their results.
+///
+/// Query / ConnectedWorlds are thread-safe: a mutex guards the reach cache
+/// for lookups and inserts only, and cold sources flood outside it.
 class ReliabilityIndex {
  public:
   struct Options {
@@ -67,8 +72,8 @@ class ReliabilityIndex {
     /// it, construction refuses (Fits() returns false) — callers keep the
     /// flood path instead.
     size_t max_label_bytes = size_t{128} << 20;
-    /// Cap on the directed lazy reach-row cache (n · Z bits per source).
-    /// Oldest sources are evicted first.
+    /// Cap on the bytes the directed lazy reach cache's matrices hold (n
+    /// lane-padded rows of Z bits per source). Oldest sources go first.
     size_t max_reach_bytes = size_t{64} << 20;
     /// Lanes used while (re)labeling; <= 0 means all hardware threads. The
     /// stored bits do not depend on it.
@@ -103,16 +108,15 @@ class ReliabilityIndex {
   /// check Fits() first; an over-cap build is a programmer error (CHECK).
   explicit ReliabilityIndex(const WorldBank& bank, const Options& options);
 
-  /// Restores an index from previously saved label planes instead of
-  /// relabeling — the deserialization path (index/index_io.h). `labels` must
-  /// be the label_words() of an index built over a bit-identical bank (same
+  /// Adopts previously saved label planes instead of relabeling — the
+  /// deserialization path (index/index_io.h). `labels` must be the
+  /// label_words() of an index built over a bit-identical bank (same
   /// universe shape, worlds, and draw stream; the load path validates this
   /// via the file's digest key before calling). The restored index answers
   /// bit-identically to the one that was saved; stats().builds and
   /// stats().worlds_relabeled stay 0 to record that no labeling ran.
-  static std::unique_ptr<ReliabilityIndex> FromSavedLabels(
-      const WorldBank& bank, const Options& options,
-      std::vector<uint64_t> labels);
+  ReliabilityIndex(const WorldBank& bank, const Options& options,
+                   std::vector<uint64_t> labels);
 
   /// Whether the label planes for (g, num_samples) fit under
   /// `options.max_label_bytes`.
@@ -122,14 +126,19 @@ class ReliabilityIndex {
   /// Label-plane bytes for (num_nodes, num_samples).
   static size_t LabelBytes(NodeId num_nodes, int num_samples);
 
-  /// R(s, t): fraction of worlds where t is reachable from s. Non-const
-  /// because directed queries may populate the lazy reach cache; answers are
-  /// independent of cache state.
-  double Query(NodeId s, NodeId t);
+  /// R(s, t): fraction of worlds where t is reachable from s. Directed
+  /// queries may populate the lazy reach cache; answers are independent of
+  /// cache state.
+  double Query(NodeId s, NodeId t) const;
 
   /// World-indexed bitset with bit w set iff t is reachable from s in world
   /// w — bit-identical to ReachabilityFixpoint over the same bank.
-  std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t);
+  std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t) const;
+
+  /// A copy of the label planes over the same bank, as the label-adopting
+  /// constructor makes it, with `num_threads` relabel lanes: the start of a
+  /// successor index (ApplyBankUpdate) while this one keeps answering.
+  std::unique_ptr<ReliabilityIndex> Clone(int num_threads) const;
 
   /// Relabels exactly the worlds set in `affected` (world-indexed bitset)
   /// against `fresh`, keeping every other world's labels. `fresh` must have
@@ -154,24 +163,20 @@ class ReliabilityIndex {
   size_t label_bytes() const { return labels_.size() * sizeof(uint64_t); }
   /// The raw label planes (plane b of node v starts at word
   /// (v * label_bits() + b) * world_words) — what index_io serializes and
-  /// FromSavedLabels restores.
+  /// the label-adopting constructor restores.
   std::span<const uint64_t> label_words() const { return labels_; }
-  /// Bytes held by the directed reach-row cache right now.
+  /// Bytes held by the directed reach cache's matrices right now.
   size_t reach_cache_bytes() const;
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
 
  private:
-  // Tag for the label-adopting constructor behind FromSavedLabels.
-  struct AdoptLabels {};
-  ReliabilityIndex(const WorldBank& bank, const Options& options,
-                   std::vector<uint64_t> labels, AdoptLabels);
-
   // Recomputes the label columns of every world set in `mask` from bank_.
   // Affected bits are cleared first; other worlds' bits are untouched.
   void RelabelWorlds(const std::vector<uint64_t>& mask);
 
-  // Flat reach rows (n · world_words words) for `s`, flooding on first use.
-  const std::vector<uint64_t>& SourceReach(NodeId s);
+  // The reach matrix for `s` (row v = worlds where v is reachable from s),
+  // flooding on first use.
+  std::shared_ptr<const bitlane::BitMatrix> SourceReach(NodeId s) const;
 
   // OR_b(plane_b(s) XOR plane_b(t)) complemented and tail-masked: the worlds
   // where s and t carry equal labels.
@@ -187,11 +192,16 @@ class ReliabilityIndex {
   // Plane b of node v is the world_words_-word row starting at
   // labels_[(v * label_bits_ + b) * world_words_].
   std::vector<uint64_t> labels_;
-  std::vector<EdgeId> all_edges_;
-  // Directed lazy per-source reach rows: n rows of world_words_ words, flat.
-  std::unordered_map<NodeId, std::vector<uint64_t>> reach_cache_;
-  std::deque<NodeId> reach_order_;
-  Stats stats_;
+  // Guards the directed lazy reach cache and stats_'s reach_* counters. A
+  // matrix is shared with in-flight queries, so eviction never frees rows a
+  // reader is still counting.
+  mutable std::mutex reach_mu_;
+  mutable std::unordered_map<NodeId,
+                             std::shared_ptr<const bitlane::BitMatrix>>
+      reach_cache_;
+  mutable std::deque<NodeId> reach_order_;
+  mutable size_t reach_bytes_ = 0;
+  mutable Stats stats_;
 };
 
 }  // namespace relmax

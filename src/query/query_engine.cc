@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/memory.h"
@@ -14,10 +13,36 @@
 
 namespace relmax {
 
+namespace {
+
+// Engines of successive serve epochs share one index file: their saves must
+// not interleave in its one temp path.
+std::mutex index_file_save_mu;
+
+}  // namespace
+
 QueryEngine::QueryEngine(const UncertainGraph& g,
                          const QueryEngineOptions& options)
     : graph_(g), options_(options), graph_version_(g.version()) {
   RELMAX_CHECK(options_.num_samples > 0);
+}
+
+QueryEngine::QueryEngine(const UncertainGraph& g, const QueryEngine& prev,
+                         int num_workers)
+    : QueryEngine(g, prev.options_) {
+  std::shared_ptr<const WorldBank> old_bank;
+  const ReliabilityIndex* old_index;
+  {
+    std::lock_guard<std::mutex> lock(prev.build_mu_);
+    old_bank = prev.bank_;
+    old_index = prev.index_.get();
+    indexed_nodes_ = prev.indexed_nodes_;
+    indexed_endpoints_ = prev.indexed_endpoints_;
+    index_io_stats_ = prev.index_io_stats_;
+  }
+  Advance(old_bank.get(),
+          old_index != nullptr ? old_index->Clone(num_workers) : nullptr,
+          num_workers);
 }
 
 WorldBank::Options QueryEngine::WorldOptions() const {
@@ -29,46 +54,69 @@ WorldBank::Options QueryEngine::WorldOptions() const {
 void QueryEngine::SyncWithGraph() {
   if (graph_.version() == graph_version_) return;
   graph_version_ = graph_.version();
-  // Memoized answers depend on edge probabilities: always stale.
+  // No lock: the graph mutates only while no Answer() runs. Memoized answers
+  // depend on edge probabilities: always stale.
   cache_.clear();
   cache_order_.clear();
-  if (index_ != nullptr && UseIndex() && GraphExtendsIndexedShape()) {
-    // Incremental maintenance: resample the bank — its bits are a pure
-    // function of (probs, Z, seed), so this is exactly what a fresh engine
-    // would hold — and relabel only the worlds whose edge presence changed.
-    auto fresh = std::make_unique<WorldBank>(graph_, WorldOptions());
-    index_->ApplyBankUpdate(*fresh,
-                            ReliabilityIndex::DiffWorlds(*bank_, *fresh));
-    bank_ = std::move(fresh);
-    // The old bank may have read from the mapped file; with the freshly
-    // sampled bank adopted, the mapping holds nothing live.
-    index_mapping_ = MappedFile();
-    all_edges_ = bank_->AllEdges();
-    indexed_nodes_ = graph_.num_nodes();
-    indexed_endpoints_.clear();
-    for (const Edge& e : graph_.EdgesById()) {
-      indexed_endpoints_.emplace_back(e.src, e.dst);
-    }
-    if (!options_.index_file.empty()) SaveIndexFile();
-    return;
-  }
-  // Destruction order matters: the index reads the bank, the bank may read
-  // the mapped file.
-  index_.reset();
-  bank_.reset();
-  index_mapping_ = MappedFile();
-  all_edges_.clear();
+  // The index reads the old bank, which may read the mapped file.
+  const MappedFile old_mapping = std::move(index_mapping_);
+  const std::shared_ptr<const WorldBank> old_bank = std::move(bank_);
+  Advance(old_bank.get(), std::move(index_), options_.num_threads);
 }
 
-void QueryEngine::EnsureBank() {
-  if (bank_ != nullptr) return;
-  bank_ = std::make_unique<WorldBank>(graph_, WorldOptions());
-  all_edges_ = bank_->AllEdges();
+void QueryEngine::Advance(const WorldBank* old_bank,
+                          std::unique_ptr<ReliabilityIndex> index,
+                          int num_workers) {
+  if (old_bank == nullptr || !UseSharedWorlds()) return;
+  WorldBank::Options fill = WorldOptions();
+  fill.num_threads = num_workers;
+  auto fresh = std::make_shared<const WorldBank>(graph_, fill);
+  if (index != nullptr && UseIndex() && GraphExtendsIndexedShape()) {
+    index->ApplyBankUpdate(*fresh,
+                           ReliabilityIndex::DiffWorlds(*old_bank, *fresh));
+  } else {
+    index.reset();
+  }
+  AdoptBank(std::move(fresh));
+  index_ = std::move(index);
+  if (index_ != nullptr && !options_.index_file.empty()) SaveIndexFile();
+}
+
+void QueryEngine::AdoptBank(std::shared_ptr<const WorldBank> bank) {
+  bank_ = std::move(bank);
   indexed_nodes_ = graph_.num_nodes();
   indexed_endpoints_.clear();
   for (const Edge& e : graph_.EdgesById()) {
     indexed_endpoints_.emplace_back(e.src, e.dst);
   }
+}
+
+void QueryEngine::EnsureBuilt(bool with_index) {
+  std::lock_guard<std::mutex> lock(build_mu_);
+  // Load-else-build-and-save: a valid file for this (graph, options) key
+  // adopts the mmap-ed bank and labels with no sampling or relabeling.
+  if (with_index && index_ == nullptr && !options_.index_file.empty()) {
+    TryLoadIndexFile();
+  }
+  if (bank_ == nullptr) {
+    AdoptBank(std::make_shared<const WorldBank>(graph_, WorldOptions()));
+  }
+  if (with_index && index_ == nullptr) {
+    ReliabilityIndex::Options index_options = options_.index;
+    index_options.num_threads = options_.num_threads;
+    index_ = std::make_unique<ReliabilityIndex>(*bank_, index_options);
+    if (!options_.index_file.empty()) SaveIndexFile();
+  }
+}
+
+size_t QueryEngine::cache_size() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return cache_.size();
+}
+
+size_t QueryEngine::cache_evictions() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return cache_evictions_;
 }
 
 bool QueryEngine::GraphExtendsIndexedShape() const {
@@ -115,15 +163,9 @@ void QueryEngine::TryLoadIndexFile() {
     return;
   }
   LoadedIndex li = std::move(loaded).value();
-  index_mapping_ = std::move(li.mapping);
-  bank_ = std::move(li.bank);
   index_ = std::move(li.index);
-  all_edges_ = bank_->AllEdges();
-  indexed_nodes_ = graph_.num_nodes();
-  indexed_endpoints_.clear();
-  for (const Edge& e : graph_.EdgesById()) {
-    indexed_endpoints_.emplace_back(e.src, e.dst);
-  }
+  AdoptBank(std::move(li.bank));
+  index_mapping_ = std::move(li.mapping);
   ++index_io_stats_.loads;
   index_io_stats_.generation = li.generation;
   index_io_stats_.file_bytes = li.file_bytes;
@@ -131,6 +173,7 @@ void QueryEngine::TryLoadIndexFile() {
 
 void QueryEngine::SaveIndexFile() {
   RELMAX_DCHECK(bank_ != nullptr && index_ != nullptr);
+  std::lock_guard<std::mutex> lock(index_file_save_mu);
   const uint64_t generation = index_io_stats_.generation + 1;
   const StatusOr<size_t> saved = SaveIndex(*bank_, *index_, WorldOptions(),
                                            generation, options_.index_file);
@@ -150,19 +193,11 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
                                std::unordered_map<uint64_t, double>* resolved,
                                BatchStats* stats) {
   if (pairs.empty()) return;
+  if (UseSharedWorlds()) {
+    EnsureBuilt(/*with_index=*/UseIndex());
+    stats->bank_bytes = BankBytes(bank_->num_edges(), bank_->num_worlds());
+  }
   if (UseIndex()) {
-    // Load-else-build-and-save: a valid file for this (graph, options) key
-    // adopts the mmap-ed bank and labels with no sampling or relabeling.
-    if (index_ == nullptr && !options_.index_file.empty()) {
-      TryLoadIndexFile();
-    }
-    EnsureBank();
-    if (index_ == nullptr) {
-      ReliabilityIndex::Options index_options = options_.index;
-      index_options.num_threads = options_.num_threads;
-      index_ = std::make_unique<ReliabilityIndex>(*bank_, index_options);
-      if (!options_.index_file.empty()) SaveIndexFile();
-    }
     // Every answer is a label-plane popcount (undirected / same-SCC) or a
     // cached reach-row popcount (directed residual); all are pure functions
     // of the bank bits, so batch order and thread count cannot matter.
@@ -173,7 +208,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
     return;
   }
   if (UseSharedWorlds()) {
-    EnsureBank();
+    const WorldBank& bank = *bank_;
     // Group pair indices by source (first-appearance order, so the flood
     // schedule is a pure function of the deduplicated pair list). Every
     // value below depends only on (bank bits, source, target); the bank is
@@ -192,7 +227,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
       pairs_of_source[it->second].push_back(i);
     }
     std::vector<double> values(pairs.size());
-    const WorldBank& bank = *bank_;
+    const std::vector<EdgeId> all_edges = bank.AllEdges();
     const int num_worlds = bank.num_worlds();
     ForEachShard(
         sources.size(), options_.num_threads,
@@ -200,7 +235,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
         [&](std::unique_ptr<bitlane::BitMatrix>& reach, size_t i) {
           // The fixpoint wipes the reused scratch itself (kClearScratch).
           bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
-                                    all_edges_, reach.get());
+                                    all_edges, reach.get());
           for (size_t idx : pairs_of_source[i]) {
             values[idx] = static_cast<double>(WorldBank::CountBits(
                               reach->row_span(pairs[idx].t),
@@ -262,37 +297,40 @@ StatusOr<BatchResult> QueryEngine::Answer(const QuerySet& set) {
   result.stats.num_queries = set.size();
 
   // Deduplicate the (s, t) pairs the batch needs, across all query kinds, in
-  // first-appearance order; pairs already memoized are cache hits.
+  // first-appearance order. Pairs already memoized are cache hits, copied
+  // out under the lock so a concurrent eviction cannot take them away; the
+  // rest are `needed` and resolved below.
   std::vector<StQuery> needed;
-  std::unordered_set<uint64_t> seen;
-  auto want = [&](NodeId s, NodeId t) {
-    if (!seen.insert(PairKey(s, t)).second) return;
-    if (cache_.count(PairKey(s, t)) != 0) {
-      ++result.stats.cache_hits;
-      return;
-    }
-    needed.push_back({s, t});
-  };
-  for (const StQuery& q : set.st_queries()) want(q.s, q.t);
-  for (const AggregateQuery& q : set.aggregate_queries()) {
-    for (NodeId s : q.sources) {
-      for (NodeId t : q.targets) want(s, t);
-    }
-  }
-  for (const TopKQuery& q : set.top_k_queries()) {
-    for (const StQuery& c : q.candidates) want(c.s, c.t);
-  }
-  result.stats.distinct_pairs = seen.size();
-
   std::unordered_map<uint64_t, double> resolved;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto want = [&](NodeId s, NodeId t) {
+      const auto [it, inserted] = resolved.emplace(PairKey(s, t), 0.0);
+      if (!inserted) return;
+      const auto cached = cache_.find(it->first);
+      if (cached == cache_.end()) {
+        needed.push_back({s, t});
+      } else {
+        it->second = cached->second;
+        ++result.stats.cache_hits;
+      }
+    };
+    for (const StQuery& q : set.st_queries()) want(q.s, q.t);
+    for (const AggregateQuery& q : set.aggregate_queries()) {
+      for (NodeId s : q.sources) {
+        for (NodeId t : q.targets) want(s, t);
+      }
+    }
+    for (const TopKQuery& q : set.top_k_queries()) {
+      for (const StQuery& c : q.candidates) want(c.s, c.t);
+    }
+  }
+  result.stats.distinct_pairs = resolved.size();
+
   ResolvePairs(needed, &resolved, &result.stats);
 
   const auto value = [&](NodeId s, NodeId t) {
-    const auto it = resolved.find(PairKey(s, t));
-    if (it != resolved.end()) return it->second;
-    const auto cached = cache_.find(PairKey(s, t));
-    RELMAX_CHECK(cached != cache_.end());
-    return cached->second;
+    return resolved.at(PairKey(s, t));
   };
 
   result.st_values.reserve(set.st_queries().size());
@@ -328,6 +366,7 @@ StatusOr<BatchResult> QueryEngine::Answer(const QuerySet& set) {
   if (options_.cache_results) {
     // Insert in the deterministic deduplicated `needed` order (never map
     // iteration order), so eviction victims are identical across runs.
+    std::lock_guard<std::mutex> lock(cache_mu_);
     for (const StQuery& q : needed) {
       const uint64_t key = PairKey(q.s, q.t);
       if (cache_.emplace(key, resolved.at(key)).second) {
@@ -340,10 +379,7 @@ StatusOr<BatchResult> QueryEngine::Answer(const QuerySet& set) {
       cache_order_.pop_front();
       ++result.stats.cache_evictions;
     }
-  }
-  if (bank_ != nullptr) {
-    result.stats.bank_bytes =
-        BankBytes(bank_->num_edges(), bank_->num_worlds());
+    cache_evictions_ += result.stats.cache_evictions;
   }
   result.stats.seconds = timer.ElapsedSeconds();
   return result;

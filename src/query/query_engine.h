@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -123,8 +124,9 @@ struct BatchStats {
   size_t index_answers = 0;
   /// Result-cache entries evicted by this batch (max_cache_entries cap).
   size_t cache_evictions = 0;
-  /// Logical bytes of the shared bank (BankBytes(E, Z)); empty when no
-  /// bank was built (fallback path / shared worlds off).
+  /// Logical bytes of the shared bank the batch read (BankBytes(E, Z));
+  /// empty when it read none (fallback path / shared worlds off / all
+  /// pairs cached).
   std::optional<size_t> bank_bytes;
   double seconds = 0.0;
 };
@@ -167,13 +169,20 @@ struct BatchResult {
 /// worlds whose sampled edge presence actually changed — before falling back
 /// to a wholesale rebuild.
 ///
-/// The engine is not internally synchronized: Answer() mutates the cache,
-/// so concurrent callers must serialize (or use one engine per thread —
-/// answers are identical by construction).
+/// Answer() is safe to call from many threads while the graph is not being
+/// mutated: one mutex guards the lazy bank / index build and file load,
+/// another the result cache (never held while resolving).
 class QueryEngine {
  public:
   /// `g` must outlive the engine.
   QueryEngine(const UncertainGraph& g, const QueryEngineOptions& options);
+
+  /// The successor of `prev` over `g` (prev.graph() plus mutations): the
+  /// same incremental maintenance as an in-place mutation, with
+  /// `num_workers` fill and relabel lanes, into a new engine that carries
+  /// prev's index-file generation forward. `prev` keeps answering.
+  QueryEngine(const UncertainGraph& g, const QueryEngine& prev,
+              int num_workers);
 
   /// Answers every query in `set`. Fails on validation errors (out-of-range
   /// nodes, empty aggregate sets, k < 1) without computing anything.
@@ -187,27 +196,40 @@ class QueryEngine {
   const QueryEngineOptions& options() const { return options_; }
 
   /// Pairs currently memoized (test/introspection hook).
-  size_t cache_size() const { return cache_.size(); }
+  size_t cache_size() const;
+
+  /// Result-cache entries evicted over the engine's lifetime.
+  size_t cache_evictions() const;
 
   /// The live reliability index, or nullptr when disabled / not yet built /
-  /// over its caps (test/CLI introspection hook).
+  /// over its caps (introspection; not while another thread is in Answer()).
   const ReliabilityIndex* index() const { return index_.get(); }
 
-  /// Persistent-index accounting (zeroes when options.index_file is empty).
+  /// Persistent-index accounting (zeroes when options.index_file is empty;
+  /// same threading rule as index()).
   const IndexIoStats& index_io_stats() const { return index_io_stats_; }
 
  private:
-  // Resyncs engine state after a graph mutation. The result cache always
-  // drops (answers depend on probabilities). With a live index whose graph
-  // shape is only extended (same nodes, same existing-edge endpoints), the
-  // bank is resampled — bit-identical to a fresh engine's, bank bits being a
-  // pure function of (probs, Z, seed) — and only the worlds whose edge
-  // presence changed are relabeled; otherwise bank and index drop wholesale.
+  // Resyncs engine state after a graph mutation: the result cache always
+  // drops (answers depend on probabilities), then Advance().
   void SyncWithGraph();
 
-  // Samples the shared WorldBank if absent and snapshots the graph shape it
-  // was built against.
-  void EnsureBank();
+  // Incremental maintenance behind SyncWithGraph and the successor
+  // constructor. Resamples `old_bank` for graph_ with `num_workers` lanes —
+  // bit-identical to a fresh engine's, bank bits being a pure function of
+  // (probs, Z, seed). When graph_ extends the indexed shape (same nodes,
+  // same existing-edge endpoints), `index` relabels only the worlds whose
+  // edge presence changed and is republished; otherwise it drops. With no
+  // old bank, both stay lazy.
+  void Advance(const WorldBank* old_bank,
+               std::unique_ptr<ReliabilityIndex> index, int num_workers);
+
+  // Installs `bank` and snapshots the graph shape it was sampled against.
+  void AdoptBank(std::shared_ptr<const WorldBank> bank);
+
+  // Builds the shared bank (and index) if absent, under build_mu_; once set
+  // they stay put until the graph mutates, so callers read them unlocked.
+  void EnsureBuilt(bool with_index);
 
   // True when the current graph is the indexed shape plus (possibly) new
   // edges — the prerequisite for incremental index maintenance.
@@ -248,23 +270,30 @@ class QueryEngine {
   const UncertainGraph& graph_;
   QueryEngineOptions options_;
   uint64_t graph_version_;
+
+  // Guards everything from here to cache_mu_.
+  mutable std::mutex build_mu_;
   // Declared before bank_/index_ so it is destroyed after them: a loaded
   // bank's bit rows point into this read-only mapping (zero copy).
   MappedFile index_mapping_;
-  std::unique_ptr<WorldBank> bank_;
+  // Shared so a successor can diff against it while this engine answers.
+  std::shared_ptr<const WorldBank> bank_;
   std::unique_ptr<ReliabilityIndex> index_;
-  std::vector<EdgeId> all_edges_;
   // Graph shape the bank was sampled against: node count plus the endpoints
   // of every edge, in id order. Incremental maintenance requires the mutated
   // graph to extend this shape (UpdateEdgeProb/AddEdge do; wholesale
   // assignment usually does not).
   NodeId indexed_nodes_ = 0;
   std::vector<std::pair<NodeId, NodeId>> indexed_endpoints_;
-  // pair key -> reliability, valid for graph_version_ only, capped at
-  // options_.max_cache_entries with first-inserted-first-evicted order.
+  IndexIoStats index_io_stats_;
+
+  // Guards the result cache: pair key -> reliability, valid for
+  // graph_version_ only, capped at options_.max_cache_entries with
+  // first-inserted-first-evicted order.
+  mutable std::mutex cache_mu_;
   std::unordered_map<uint64_t, double> cache_;
   std::deque<uint64_t> cache_order_;
-  IndexIoStats index_io_stats_;
+  size_t cache_evictions_ = 0;
 };
 
 }  // namespace relmax

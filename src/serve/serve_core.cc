@@ -6,32 +6,22 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "sampling/parallel.h"
 
 namespace relmax {
 namespace serve {
 
 ServeCore::ServeCore(UncertainGraph initial, const ServeOptions& options)
     : options_(options),
-      store_(std::move(initial)),
-      num_nodes_(store_.Current()->graph().num_nodes()) {
+      num_nodes_(initial.num_nodes()),
+      current_(std::make_shared<const GraphSnapshot>(std::move(initial),
+                                                     options.engine)) {
   RELMAX_CHECK(options_.lanes >= 1);
   RELMAX_CHECK(options_.window_us >= 0);
   RELMAX_CHECK(options_.max_batch >= 1);
-  const std::shared_ptr<const GraphSnapshot> boot = store_.Current();
-  stats_.epoch = boot->epoch();
-  stats_.graph_version = boot->version();
   lanes_.reserve(static_cast<size_t>(options_.lanes));
   for (int i = 0; i < options_.lanes; ++i) {
-    // Only lane 0 keeps the persistent index file: one writer per path, so
-    // republishes never race. Other lanes rebuild in memory; their answers
-    // are bit-identical either way (pure function of the determinism tuple).
-    QueryEngineOptions engine_options = options_.engine;
-    if (i > 0) engine_options.index_file.clear();
-    lanes_.push_back(std::make_unique<Lane>(boot->graph(), engine_options));
-  }
-  threads_.reserve(lanes_.size());
-  for (auto& lane : lanes_) {
-    threads_.emplace_back([this, lane = lane.get()] { LaneLoop(lane); });
+    lanes_.emplace_back([this] { LaneLoop(); });
   }
 }
 
@@ -44,7 +34,7 @@ void ServeCore::Submit(NodeId s, NodeId t, QueryCallback done) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.rejected;
-      epoch = stats_.epoch;
+      epoch = current_->epoch();
     }
     done(Status::InvalidArgument(
              "query node out of range: (" + std::to_string(s) + ", " +
@@ -57,10 +47,9 @@ void ServeCore::Submit(NodeId s, NodeId t, QueryCallback done) {
   Status shed = Status::Ok();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Pin the epoch under mu_ (it is updated under mu_ on publish), so the
-    // queue's epochs are non-decreasing in arrival order — the invariant
-    // that lets lane replicas only ever roll forward.
-    epoch = stats_.epoch;
+    // Pin the snapshot under mu_ (it is swapped under mu_ on publish), so
+    // the queue's epochs are non-decreasing in arrival order.
+    epoch = current_->epoch();
     if (stopping_) {
       ++stats_.shed;
       shed = Status::Unavailable("shed: daemon is shutting down");
@@ -71,7 +60,7 @@ void ServeCore::Submit(NodeId s, NodeId t, QueryCallback done) {
           " pending, cap " + std::to_string(options_.max_queue) + ")");
     } else {
       ++stats_.submitted;
-      queue_.push_back(Pending{StQuery{s, t}, epoch, std::move(done)});
+      queue_.push_back(Pending{StQuery{s, t}, current_, std::move(done)});
     }
   }
   if (!shed.ok()) {
@@ -81,42 +70,33 @@ void ServeCore::Submit(NodeId s, NodeId t, QueryCallback done) {
   work_cv_.notify_one();
 }
 
-StatusOr<uint64_t> ServeCore::Publish(const Op& op) {
-  // Copy-mutate-publish, serialized across writers. Readers never wait:
-  // queries pinned to the previous epoch keep answering on replicas that
-  // have not replayed the new op yet.
+StatusOr<uint64_t> ServeCore::Publish(
+    const std::function<Status(UncertainGraph&)>& mutate) {
+  // Serialized across writers. Readers never wait: queries pinned to the
+  // previous snapshot answer on its engine while the next is derived.
   std::lock_guard<std::mutex> write_lock(write_mu_);
-  UncertainGraph next = store_.Current()->graph();
-  const Status applied =
-      op.add ? next.AddEdge(op.edge.src, op.edge.dst, op.edge.prob)
-             : next.UpdateEdgeProb(op.edge.src, op.edge.dst, op.edge.prob);
-  if (!applied.ok()) return applied;
+  const std::shared_ptr<const GraphSnapshot> prev = CurrentSnapshot();
+  UncertainGraph next = prev->graph();
+  RELMAX_RETURN_IF_ERROR(mutate(next));
+  auto snapshot = std::make_shared<const GraphSnapshot>(
+      *prev, std::move(next),
+      std::max(ResolveNumThreads(options_.engine.num_threads),
+               options_.lanes));
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<const GraphSnapshot> snapshot =
-      store_.Publish(std::move(next));
-  ops_.push_back(op);
-  RELMAX_CHECK(ops_.size() == snapshot->epoch());
+  current_ = snapshot;
   ++stats_.updates;
-  stats_.epoch = snapshot->epoch();
-  stats_.graph_version = snapshot->version();
-  // Epoch-scoped result-cache stats reset with the epoch: the engines that
-  // will serve it start from an empty cache, so carrying the previous
-  // epoch's eviction count (or entry count) would describe caches that no
-  // longer answer anything.
-  stats_.cache_evictions_epoch = 0;
-  stats_.cache_entries = 0;
   return snapshot->epoch();
 }
 
 StatusOr<uint64_t> ServeCore::UpdateEdgeProb(NodeId u, NodeId v, double p) {
-  return Publish(Op{Edge{u, v, p}, /*add=*/false});
+  return Publish([&](UncertainGraph& g) { return g.UpdateEdgeProb(u, v, p); });
 }
 
 StatusOr<uint64_t> ServeCore::AddEdge(NodeId u, NodeId v, double p) {
-  return Publish(Op{Edge{u, v, p}, /*add=*/true});
+  return Publish([&](UncertainGraph& g) { return g.AddEdge(u, v, p); });
 }
 
-void ServeCore::LaneLoop(Lane* lane) {
+void ServeCore::LaneLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -139,64 +119,43 @@ void ServeCore::LaneLoop(Lane* lane) {
       }
       if (queue_.empty()) continue;  // another lane drained it
     }
-    // Take the longest same-epoch prefix (up to max_batch): one window is
+    // Take the longest same-snapshot prefix (up to max_batch): one window is
     // answered by one engine over one graph state.
-    const uint64_t epoch = queue_.front().epoch;
+    std::shared_ptr<const GraphSnapshot> snapshot = queue_.front().snapshot;
     std::vector<Pending> window;
     while (!queue_.empty() && window.size() < options_.max_batch &&
-           queue_.front().epoch == epoch) {
+           queue_.front().snapshot == snapshot) {
       window.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    RELMAX_CHECK(epoch >= lane->epoch);  // queue epochs are non-decreasing
-    const std::vector<Op> replay(ops_.begin() + lane->epoch,
-                                 ops_.begin() + epoch);
     ++active_lanes_;
     lock.unlock();
 
-    // Roll the private replica forward. The long-lived engine sees the
-    // version bump on its next Answer() and runs the incremental index
-    // maintenance path instead of rebuilding (when the index is enabled).
-    for (const Op& op : replay) {
-      const Status applied =
-          op.add
-              ? lane->graph.AddEdge(op.edge.src, op.edge.dst, op.edge.prob)
-              : lane->graph.UpdateEdgeProb(op.edge.src, op.edge.dst,
-                                           op.edge.prob);
-      RELMAX_CHECK(applied.ok());  // already applied cleanly at publish
-    }
-    lane->epoch = epoch;
-
     QuerySet set;
     for (const Pending& p : window) set.AddSt(p.query.s, p.query.t);
-    const StatusOr<BatchResult> result = lane->engine.Answer(set);
+    const StatusOr<BatchResult> result = snapshot->engine().Answer(set);
     for (size_t i = 0; i < window.size(); ++i) {
       if (result.ok()) {
-        window[i].done(result->st_values[i], epoch);
+        window[i].done(result->st_values[i], snapshot->epoch());
       } else {
-        window[i].done(result.status(), epoch);
+        window[i].done(result.status(), snapshot->epoch());
       }
     }
+    const size_t answered = window.size();
+    // Drop the pins outside mu_: the last one frees an old epoch's engine.
+    window.clear();
+    snapshot.reset();
 
     lock.lock();
     ++stats_.batches;
-    stats_.max_window = std::max(stats_.max_window, window.size());
+    stats_.max_window = std::max(stats_.max_window, answered);
     if (result.ok()) {
-      stats_.answered += window.size();
+      stats_.answered += answered;
       stats_.floods += result->stats.floods;
       stats_.index_answers += result->stats.index_answers;
       stats_.fallback_estimates += result->stats.fallback_estimates;
       stats_.cache_hits += result->stats.cache_hits;
       stats_.cache_evictions_total += result->stats.cache_evictions;
-      // Evictions are epoch-scoped only while this window's epoch is still
-      // the published one; a straggler window on an old epoch must not be
-      // charged to the live cache.
-      if (epoch == stats_.epoch) {
-        stats_.cache_evictions_epoch += result->stats.cache_evictions;
-        if (lane == lanes_.front().get()) {
-          stats_.cache_entries = lane->engine.cache_size();
-        }
-      }
     }
     --active_lanes_;
     drain_cv_.notify_all();
@@ -205,7 +164,12 @@ void ServeCore::LaneLoop(Lane* lane) {
 
 ServeStats ServeCore::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ServeStats stats = stats_;
+  stats.epoch = current_->epoch();
+  stats.graph_version = current_->version();
+  stats.cache_entries = current_->engine().cache_size();
+  stats.cache_evictions_epoch = current_->engine().cache_evictions();
+  return stats;
 }
 
 void ServeCore::Drain() {
@@ -224,7 +188,7 @@ void ServeCore::Shutdown() {
   work_cv_.notify_all();
   Drain();
   work_cv_.notify_all();  // wake lanes to observe stopping_ with empty queue
-  for (std::thread& t : threads_) t.join();
+  for (std::thread& t : lanes_) t.join();
 }
 
 }  // namespace serve

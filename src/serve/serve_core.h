@@ -21,10 +21,11 @@ namespace serve {
 
 /// Knobs for the online query daemon (ServeCore / Server).
 struct ServeOptions {
-  /// The batch engine each lane replica answers through. Every served value
-  /// is the engine's — a pure function of (graph version, estimator, seed,
-  /// Z, query) — so serve answers are bit-identical to `relmax batch` for
-  /// the same tuple, regardless of how arrivals were windowed.
+  /// The batch engine each epoch answers through, one per epoch shared by
+  /// every lane. Every served value is the engine's — a pure function of
+  /// (graph version, estimator, seed, Z, query) — so serve answers are
+  /// bit-identical to `relmax batch` for the same tuple, regardless of how
+  /// arrivals were windowed. The writer saves `index_file` once per epoch.
   QueryEngineOptions engine;
   /// Micro-batch bounded-delay window: once a lane sees the first pending
   /// query it waits at most this long for more arrivals before answering the
@@ -37,15 +38,14 @@ struct ServeOptions {
   /// is shed immediately with a typed Unavailable status — never a silent
   /// drop. 0 sheds everything (useful to test the shed path).
   size_t max_queue = 1024;
-  /// Concurrent batch lanes. QueryEngine is not internally synchronized, so
-  /// each lane owns a private graph replica + engine; answers are
-  /// bit-identical across lanes by the engine's determinism contract.
+  /// Lane threads answering windows concurrently on their epoch's engine.
+  /// The writer derives an epoch with max(engine threads, lanes) workers.
   int lanes = 1;
 };
 
 /// Cumulative daemon accounting, reported on the `stats` protocol line.
-/// Epoch-scoped fields reset when a mutation publishes a new epoch; totals
-/// are process-lifetime.
+/// Epoch-scoped fields read the current epoch's engine, whose result cache
+/// starts empty at publish; totals are process-lifetime.
 struct ServeStats {
   uint64_t submitted = 0;  ///< queries accepted into the admission queue
   uint64_t answered = 0;   ///< queries answered with a value
@@ -63,33 +63,26 @@ struct ServeStats {
   uint64_t cache_hits = 0;
   /// Result-cache FIFO evictions, process-lifetime.
   uint64_t cache_evictions_total = 0;
-  /// Evictions charged to engines serving the *current* epoch; reset to 0
-  /// when a new epoch is published (fresh replicas start with empty caches,
-  /// so carrying the old epoch's count would misreport the live cache —
-  /// the serve-side mirror of the PR 9 ApplyBankUpdate stale-stats fix).
+  /// Evictions from the current epoch's shared result cache.
   uint64_t cache_evictions_epoch = 0;
-  /// Live memoized pairs in lane 0's engine, as of its last window. Reset
-  /// to 0 on epoch publish until the new epoch's replica answers a window.
+  /// Live memoized pairs in the current epoch's shared result cache.
   size_t cache_entries = 0;
 };
 
 /// The daemon's engine room: admission control, epoch snapshots, and
 /// micro-batched answering, independent of any wire format.
 ///
-/// Readers: Submit() pins the query to the current epoch and enqueues it
-/// (or sheds / rejects it synchronously, always through the typed
-/// callback). Lane threads drain the queue in arrival order, wait up to
-/// `window_us` for a fuller window, and answer each window through one
-/// QueryEngine batch — one shared flood per distinct source in the window.
+/// Readers: Submit() pins the query to the current epoch's snapshot and
+/// enqueues it (or sheds / rejects it synchronously, always through the
+/// typed callback). Lane threads drain the queue in arrival order, wait up
+/// to `window_us` for a fuller window, and answer each window through one
+/// batch on its snapshot's shared engine — one flood per distinct source.
 ///
-/// Writers: Update()/AddEdge() copy the current snapshot's graph, apply the
-/// mutation, and publish the result as epoch N+1. In-flight queries pinned
-/// to epoch N are untouched — their lanes answer on replicas still at N —
-/// so a republish never blocks reads. Each lane replica then catches up by
-/// replaying the mutation log the first time it sees an epoch-N+1 window;
-/// its long-lived engine observes the version bump and runs the PR 6/9
-/// incremental maintenance path (resample the bank, relabel only changed
-/// worlds) instead of rebuilding from scratch.
+/// Writers: UpdateEdgeProb()/AddEdge() copy the current graph, apply the
+/// mutation, derive the next engine from the current one (resample the
+/// bank, relabel only changed worlds) and publish it as epoch N+1. Queries
+/// pinned to epoch N keep answering on N's snapshot, so a republish never
+/// blocks reads; epoch N is freed when its last pending query is answered.
 ///
 /// Every callback fires exactly once, from the submitting thread (shed /
 /// rejected) or from a lane thread (answered / engine error).
@@ -118,7 +111,8 @@ class ServeCore {
 
   /// The currently published snapshot (readers may pin it).
   std::shared_ptr<const GraphSnapshot> CurrentSnapshot() const {
-    return store_.Current();
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   ServeStats Stats() const;
@@ -132,51 +126,33 @@ class ServeCore {
  private:
   struct Pending {
     StQuery query;
-    uint64_t epoch = 0;
+    std::shared_ptr<const GraphSnapshot> snapshot;
     QueryCallback done;
   };
 
-  /// One lane's private replica: a graph copy replayed to `epoch` plus the
-  /// long-lived engine answering on it. Boxed so addresses stay stable (the
-  /// engine holds a reference to the graph).
-  struct Lane {
-    explicit Lane(const UncertainGraph& initial,
-                  const QueryEngineOptions& engine_options)
-        : graph(initial), engine(graph, engine_options) {}
-    UncertainGraph graph;
-    uint64_t epoch = 0;
-    QueryEngine engine;
-  };
-
-  // One published mutation: ops_[e] transforms epoch e into epoch e+1.
-  struct Op {
-    Edge edge;
-    bool add = false;  // AddEdge vs UpdateEdgeProb
-  };
-
-  void LaneLoop(Lane* lane);
-  StatusOr<uint64_t> Publish(const Op& op);
+  void LaneLoop();
+  // Copy-mutate-derive-publish; `mutate` applies the mutation to the copy.
+  StatusOr<uint64_t> Publish(
+      const std::function<Status(UncertainGraph&)>& mutate);
 
   ServeOptions options_;
-  SnapshotStore store_;
   NodeId num_nodes_;  // fixed: the protocol cannot add nodes
 
-  // Serializes the copy-mutate-publish writer path.
+  // Serializes the writer path.
   std::mutex write_mu_;
 
-  // Guards everything below (queue, stats, mutation log, lane bookkeeping).
+  // Guards everything below but lanes_.
   mutable std::mutex mu_;
+  std::shared_ptr<const GraphSnapshot> current_;
   std::condition_variable work_cv_;
   std::condition_variable drain_cv_;
   std::deque<Pending> queue_;
-  std::vector<Op> ops_;  // mutation log, indexed by source epoch
   size_t active_lanes_ = 0;
   bool stopping_ = false;
   bool joined_ = false;
   ServeStats stats_;
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> lanes_;
 };
 
 }  // namespace serve

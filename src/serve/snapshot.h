@@ -2,68 +2,50 @@
 #define RELMAX_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "graph/uncertain_graph.h"
+#include "query/query_engine.h"
 
 namespace relmax {
 namespace serve {
 
-/// One immutable published world-state: a private copy of the uncertain
-/// graph frozen at publish time, tagged with the serving epoch and the
-/// graph's own version() counter. Readers pin a snapshot by holding its
-/// shared_ptr and keep answering on it even while newer epochs are
-/// published; an old epoch dies when its last reader drops it.
+/// One immutable published epoch: a private copy of the uncertain graph
+/// frozen at publish time, the serving epoch, and the one QueryEngine every
+/// lane answers the epoch's queries through. Readers pin a snapshot by
+/// holding its shared_ptr and keep answering on it even while newer epochs
+/// are published; an old epoch and its engine die when its last reader
+/// drops it.
 class GraphSnapshot {
  public:
-  GraphSnapshot(uint64_t epoch, UncertainGraph graph)
-      : epoch_(epoch), graph_(std::move(graph)), version_(graph_.version()) {}
+  /// The boot epoch: `graph` with a fresh engine.
+  GraphSnapshot(UncertainGraph graph, const QueryEngineOptions& options)
+      : epoch_(0), graph_(std::move(graph)), engine_(graph_, options) {}
+
+  /// Epoch prev.epoch() + 1: `graph` is prev.graph() after one mutation,
+  /// with the successor of prev's engine.
+  GraphSnapshot(const GraphSnapshot& prev, UncertainGraph graph,
+                int num_workers)
+      : epoch_(prev.epoch_ + 1),
+        graph_(std::move(graph)),
+        engine_(graph_, prev.engine_, num_workers) {}
 
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
 
   /// Serving epoch: 0 for the boot graph, +1 per published mutation.
   uint64_t epoch() const { return epoch_; }
-  /// The frozen graph's UncertainGraph::version() — the counter every
-  /// QueryEngine keys its result cache on. A copy preserves the source's
-  /// version and each mutation bumps it, so replicas that replay the same
-  /// mutation sequence land on this exact value.
-  uint64_t version() const { return version_; }
+  /// The frozen graph's UncertainGraph::version(): a copy preserves the
+  /// source's version and each mutation bumps it.
+  uint64_t version() const { return graph_.version(); }
   const UncertainGraph& graph() const { return graph_; }
+  /// The epoch's engine; Answer() is safe to call concurrently.
+  QueryEngine& engine() const { return engine_; }
 
  private:
   uint64_t epoch_;
-  UncertainGraph graph_;
-  uint64_t version_;
-};
-
-/// Atomically publishable current snapshot. Publish() swaps the current
-/// shared_ptr under a mutex held for the duration of a pointer copy, so a
-/// republish never blocks or invalidates in-flight readers.
-class SnapshotStore {
- public:
-  explicit SnapshotStore(UncertainGraph initial)
-      : current_(std::make_shared<const GraphSnapshot>(0, std::move(initial))) {
-  }
-
-  std::shared_ptr<const GraphSnapshot> Current() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return current_;
-  }
-
-  /// Publishes `next` as epoch current+1 and returns the new snapshot.
-  std::shared_ptr<const GraphSnapshot> Publish(UncertainGraph next) {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::make_shared<const GraphSnapshot>(current_->epoch() + 1,
-                                                     std::move(next));
-    return current_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const GraphSnapshot> current_;
+  UncertainGraph graph_;  // before engine_, which holds a reference to it
+  mutable QueryEngine engine_;
 };
 
 }  // namespace serve

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -65,6 +66,20 @@ TEST(UncertainGraphTest, RejectsInvalidEdges) {
   ASSERT_TRUE(g.AddEdge(0, 1, 0.5).ok());
   EXPECT_EQ(g.AddEdge(0, 1, 0.6).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(g.num_edges(), 1u);
+}
+
+// NaN fails every ordered comparison, so a `p < 0 || p > 1` range test let
+// it through; both mutations must refuse it without bumping version().
+TEST(UncertainGraphTest, RejectsNanProbabilities) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  UncertainGraph g = UncertainGraph::Directed(3);
+  ASSERT_TRUE(g.AddEdge(0, 1, 0.5).ok());
+  const uint64_t version = g.version();
+  EXPECT_EQ(g.AddEdge(1, 2, nan).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.UpdateEdgeProb(0, 1, nan).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.version(), version);
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_DOUBLE_EQ(g.EdgeProb(0, 1).value(), 0.5);
 }
 
 TEST(UncertainGraphTest, UndirectedDuplicateDetectedEitherOrientation) {
@@ -330,6 +345,15 @@ TEST(GraphIoTest, BoundedLineReaderResyncsAfterOverlongLine) {
   EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kOk);
   EXPECT_EQ(line, "last");
   EXPECT_EQ(ReadBoundedLine(in, &line), LineRead::kEof);
+}
+
+TEST(GraphIoTest, RejectsNanProbability) {
+  const std::string path = testing::TempDir() + "/relmax_io_nan.graph";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs("directed 3\n0 1 nan\n1 2 0.5\n", f);
+  fclose(f);
+  EXPECT_EQ(ReadEdgeList(path).status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, MissingFile) {

@@ -1,10 +1,13 @@
 // Batch query engine: file-format parsing, validation, shared-world
-// amortization, result caching, and the determinism contracts (thread and
+// amortization, result caching, the determinism contracts (thread and
 // batch-composition invariance; per-query fallback exactly equal to the
-// single-query public API).
+// single-query public API), successor engines, and concurrent Answer() on
+// one shared engine. Carries the `sanitize` CTest label for the latter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,6 +15,7 @@
 #include "graph/uncertain_graph.h"
 #include "query/query_engine.h"
 #include "query/query_set.h"
+#include "sampling/bitlane.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
@@ -483,6 +487,135 @@ TEST(QueryEngineTest, IndexSyncRelabelsOnlyAffectedWorlds) {
   const auto expected2 = fresh2.Answer(set);
   ASSERT_TRUE(expected2.ok());
   EXPECT_EQ(extended->st_values, expected2->st_values);
+}
+
+// The successor constructor (the serve writer's path) derives the next
+// engine from a live one: its answers equal a fresh engine's over the
+// mutated copy, an index is relabeled incrementally rather than rebuilt,
+// and the predecessor keeps its own answers.
+TEST(QueryEngineTest, SuccessorEngineMatchesFreshEngine) {
+  for (const bool use_index : {false, true}) {
+    const UncertainGraph g = RandomGraph(73, 14, 0.2, /*directed=*/true);
+    QueryEngineOptions options = EngineOptions(512);
+    options.use_index = use_index;
+    QuerySet set;
+    for (NodeId s = 0; s < 4; ++s) {
+      for (NodeId t = 6; t < 14; ++t) set.AddSt(s, t);
+    }
+    QueryEngine prev(g, options);
+    const auto prev_answers = prev.Answer(set);
+    ASSERT_TRUE(prev_answers.ok());
+
+    UncertainGraph next = g;
+    const Edge edge = next.EdgesById()[0];
+    ASSERT_TRUE(next.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.5).ok());
+    NodeId v = 1;
+    while (next.HasEdge(0, v)) ++v;
+    ASSERT_TRUE(next.AddEdge(0, v, 0.5).ok());
+    QueryEngine successor(next, prev, /*num_workers=*/3);
+    EXPECT_EQ(successor.cache_size(), 0u);
+    if (use_index) {
+      ASSERT_NE(successor.index(), nullptr);
+      EXPECT_EQ(successor.index()->stats().builds, 0u);  // labels copied
+      EXPECT_EQ(successor.index()->stats().incremental_updates, 1u);
+    }
+    const auto answers = successor.Answer(set);
+    ASSERT_TRUE(answers.ok());
+    QueryEngine fresh(next, options);
+    const auto expected = fresh.Answer(set);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(answers->st_values, expected->st_values)
+        << "use_index = " << use_index;
+
+    const auto again = prev.Answer(set);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->st_values, prev_answers->st_values);
+
+    // A predecessor that never built a bank yields a lazy successor, which
+    // then answers like a fresh engine.
+    QueryEngine idle(g, options);
+    QueryEngine lazy(next, idle, /*num_workers=*/3);
+    EXPECT_EQ(lazy.index(), nullptr);
+    const auto lazy_answers = lazy.Answer(set);
+    ASSERT_TRUE(lazy_answers.ok());
+    EXPECT_EQ(lazy_answers->st_values, expected->st_values);
+  }
+}
+
+// Answer() on one shared engine from 4 threads at once: every value equals
+// the serial engine's, whatever the interleaving of lazy builds, cache
+// lookups / inserts / evictions and directed reach-row floods.
+TEST(QueryEngineTest, ConcurrentAnswersOnOneEngineMatchSerial) {
+  struct Config {
+    const char* name;
+    bool directed;
+    bool use_index;
+  };
+  constexpr int kSamples = 256;
+  constexpr NodeId kNodes = 16;
+  for (const Config& config : {Config{"flood", true, false},
+                               Config{"undirected index", false, true},
+                               Config{"directed index", true, true}}) {
+    const UncertainGraph g = RandomGraph(79, kNodes, 0.15, config.directed);
+    QueryEngineOptions options = EngineOptions(kSamples);
+    options.use_index = config.use_index;
+    // A small result cache, so inserts and evictions race too.
+    options.max_cache_entries = 8;
+    // Room for exactly two reach matrices (n rows of lane-padded words),
+    // so concurrent directed queries race on reach-row evictions.
+    const size_t stride =
+        (kSamples / 64 + bitlane::kLaneWords - 1) / bitlane::kLaneWords *
+        bitlane::kLaneWords;
+    options.index.max_reach_bytes = 2 * kNodes * stride * sizeof(uint64_t);
+
+    QuerySet all;
+    for (NodeId s = 0; s < kNodes; ++s) {
+      for (NodeId t = 0; t < kNodes; ++t) all.AddSt(s, t);
+    }
+    QueryEngine serial(g, options);
+    const auto expected = serial.Answer(all);
+    ASSERT_TRUE(expected.ok());
+
+    QueryEngine shared(g, options);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int worker = 0; worker < 4; ++worker) {
+      threads.emplace_back([&, worker] {
+        // Each thread walks every pair in its own order, in small windows.
+        for (size_t i = 0; i < all.st_queries().size(); i += 3) {
+          QuerySet window;
+          std::vector<size_t> slots;
+          for (size_t j = i; j < i + 3 && j < all.st_queries().size(); ++j) {
+            const size_t slot =
+                (j * (2 * worker + 1) + worker) % all.st_queries().size();
+            window.AddSt(all.st_queries()[slot].s, all.st_queries()[slot].t);
+            slots.push_back(slot);
+          }
+          const auto result = shared.Answer(window);
+          if (!result.ok()) {
+            mismatches.fetch_add(1);
+            continue;
+          }
+          for (size_t k = 0; k < slots.size(); ++k) {
+            if (result->st_values[k] != expected->st_values[slots[k]]) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << config.name;
+    EXPECT_LE(shared.cache_size(), options.max_cache_entries);
+    if (config.use_index) {
+      ASSERT_NE(shared.index(), nullptr);
+      EXPECT_LE(shared.index()->reach_cache_bytes(),
+                options.index.max_reach_bytes);
+      if (config.directed) {
+        EXPECT_GT(shared.index()->stats().reach_row_evictions, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Online query daemon: protocol parsing, scripted-stream answers pinned
 // bit-identical to the batch engine, response ordering, typed shed /
 // rejection, epoch-snapshot semantics under a concurrent writer (readers on
-// epoch N never see N+1), the eviction-stat reset across epoch swaps, and
-// socket serving with a clean shutdown. Carries the `sanitize` CTest label:
-// the snapshot/lane handoffs are exactly where instrumented builds earn
-// their keep.
+// epoch N never see N+1) with every lane sharing one engine per epoch, the
+// epoch-scoped cache stats, one index-file save per epoch from the writer,
+// and socket serving with a clean shutdown. Carries the `sanitize` CTest
+// label: the snapshot/lane handoffs are exactly where instrumented builds
+// earn their keep.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -15,11 +17,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/uncertain_graph.h"
+#include "index/index_io.h"
 #include "query/query_engine.h"
 #include "query/query_set.h"
 #include "serve/protocol.h"
@@ -304,10 +308,9 @@ TEST(ServeCoreTest, UpdatePublishesEpochAndPinsInFlightQueries) {
   EXPECT_EQ(core.CurrentSnapshot()->epoch(), 1u);
 }
 
-// Satellite regression: the epoch-scoped result-cache stats reset on
-// publish (fresh replicas start with empty caches) while the lifetime total
-// keeps counting — and straggler stats from the old epoch are not charged
-// to the new one.
+// The epoch-scoped result-cache stats read the current epoch's engine, so
+// they reset on publish (the new epoch's engine starts with an empty cache)
+// while the lifetime total keeps counting.
 TEST(ServeCoreTest, EvictionStatsResetAcrossEpochSwap) {
   ServeOptions options;
   options.engine.num_samples = 200;
@@ -344,15 +347,21 @@ TEST(ServeCoreTest, EvictionStatsResetAcrossEpochSwap) {
   EXPECT_EQ(stats.cache_entries, 1u);
 }
 
-// Satellite concurrency test: readers pinned on epoch N keep answering
-// bit-identically to a pre-computed epoch-N reference while a writer
-// publishes N+1, N+2, ... — snapshots are immutable, and through the core
-// every answer matches the reference for the epoch it reports.
-TEST(ServeCoreTest, SnapshotReadersAreImmuneToConcurrentWriter) {
+// Readers pinned on epoch N keep answering bit-identically to a
+// pre-computed epoch-N reference while a writer publishes N+1, N+2, ... —
+// snapshots are immutable, and through the core every answer matches the
+// reference for the epoch it reports. Runs at lanes {1, 4} on the flood and
+// index paths: lanes share each epoch's engine.
+class SnapshotReadersTest
+    : public testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(SnapshotReadersTest, SnapshotReadersAreImmuneToConcurrentWriter) {
+  const auto [lanes, use_index] = GetParam();
   const UncertainGraph g = RandomGraph(7, 20, 0.15);
   QueryEngineOptions engine_options;
   engine_options.num_samples = 300;
   engine_options.seed = 5;
+  engine_options.use_index = use_index;
 
   // Reference answers per epoch, computed serially up front on private
   // copies that replay the same mutation sequence the writer will publish.
@@ -382,6 +391,7 @@ TEST(ServeCoreTest, SnapshotReadersAreImmuneToConcurrentWriter) {
   ServeOptions options;
   options.engine = engine_options;
   options.window_us = 0;
+  options.lanes = lanes;
   ServeCore core(g, options);
 
   // Readers pin the epoch-0 snapshot directly and hammer it with their own
@@ -445,8 +455,16 @@ TEST(ServeCoreTest, SnapshotReadersAreImmuneToConcurrentWriter) {
   }
 }
 
-// Replayed replicas land on the same version counter as the published
-// snapshot — the invariant that keys every lane's result cache correctly.
+INSTANTIATE_TEST_SUITE_P(
+    LanesByPath, SnapshotReadersTest,
+    testing::Combine(testing::Values(1, 4), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return "lanes" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_index" : "_flood");
+    });
+
+// Each published snapshot carries its graph's version counter: the boot
+// version plus one per mutation.
 TEST(ServeCoreTest, SnapshotVersionTracksMutations) {
   ServeCore core(Example3(), ServeOptions{});
   const uint64_t v0 = core.CurrentSnapshot()->version();
@@ -454,6 +472,63 @@ TEST(ServeCoreTest, SnapshotVersionTracksMutations) {
   EXPECT_EQ(core.CurrentSnapshot()->version(), v0 + 1);
   ASSERT_TRUE(core.AddEdge(0, 1, 0.4).ok());
   EXPECT_EQ(core.CurrentSnapshot()->version(), v0 + 2);
+}
+
+// With an index file and several lanes, the file is written once per epoch
+// and only by the writer: the boot epoch's first query builds and saves
+// generation 1, and each of k mutations derives the next epoch and saves
+// once more, so the file ends at generation k + 1 — and it loads for the
+// final graph. Every answer still equals a fresh engine's for its epoch.
+TEST(ServeCoreTest, IndexFileIsSavedOncePerEpochByTheWriter) {
+  const std::string path = testing::TempDir() + "/relmax_serve_epochs.idx";
+  std::remove(path.c_str());
+  const UncertainGraph g = RandomGraph(17, 18, 0.15);
+  ServeOptions options;
+  options.engine.num_samples = 256;
+  options.engine.seed = 9;
+  options.engine.index_file = path;
+  options.lanes = 4;
+  options.window_us = 0;
+  ServeCore core(g, options);
+
+  QueryEngineOptions reference_options = options.engine;
+  reference_options.index_file.clear();
+  reference_options.use_index = true;
+  const auto query_matches_reference = [&](NodeId s, NodeId t) {
+    double served = -1.0;
+    core.Submit(s, t, [&](const StatusOr<double>& r, uint64_t) {
+      ASSERT_TRUE(r.ok());
+      served = *r;
+    });
+    core.Drain();
+    QueryEngine reference(core.CurrentSnapshot()->graph(), reference_options);
+    const auto expected = reference.EstimateSt(s, t);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(served, *expected) << "(" << s << ", " << t << ")";
+  };
+
+  query_matches_reference(0, 9);
+  const std::vector<Edge> mutations = {
+      {0, 9, 0.97}, {3, 11, 0.8}, {5, 2, 0.6}, {0, 9, 0.1}};
+  for (const Edge& m : mutations) {
+    const auto epoch = core.CurrentSnapshot()->graph().HasEdge(m.src, m.dst)
+                           ? core.UpdateEdgeProb(m.src, m.dst, m.prob)
+                           : core.AddEdge(m.src, m.dst, m.prob);
+    ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+    query_matches_reference(m.src, m.dst);
+  }
+
+  const auto loaded = LoadIndex(
+      path, core.CurrentSnapshot()->graph(),
+      {.num_samples = options.engine.num_samples,
+       .seed = options.engine.seed},
+      options.engine.index);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->generation, mutations.size() + 1);
+  const IndexIoStats io = core.CurrentSnapshot()->engine().index_io_stats();
+  EXPECT_EQ(io.generation, mutations.size() + 1);
+  EXPECT_EQ(io.load_failures, 0u);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------ socket mode
