@@ -1,9 +1,10 @@
 // Offline reliability index vs the flood-per-source batch path vs the naive
 // per-query loop, on the workload the index exists for: random (s, t) pairs,
 // where almost every query is a new source and PR 5's flood amortization has
-// nothing to share. The index precomputes per-world component/SCC labels
-// once, so each answer is a popcount over Z bits — per-query cost O(Z/64)
-// instead of O(E · Z/64 · passes).
+// nothing to share. On an undirected graph (lastfm, the default) the index
+// precomputes per-world component labels once, so each answer is a popcount
+// over Z bits — per-query cost O(Z/64 · log n) instead of
+// O(E · Z/64 · passes). A directed index caches one flood per source.
 //
 // The harness re-verifies the bit-purity contract on every size: index
 // answers must equal the shared-flood answers exactly (same bank, same

@@ -1,11 +1,41 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 namespace relmax {
+namespace {
+
+constexpr char kBlanks[] = " \t\v\f\r";
+
+// The next blank-delimited token of `line` at or after *pos (empty at the
+// end of the line); *pos moves past it.
+std::string_view NextToken(const std::string& line, size_t* pos) {
+  const size_t begin = line.find_first_not_of(kBlanks, *pos);
+  if (begin == std::string::npos) {
+    *pos = line.size();
+    return {};
+  }
+  *pos = std::min(line.find_first_of(kBlanks, begin), line.size());
+  return std::string_view(line).substr(begin, *pos - begin);
+}
+
+}  // namespace
+
+std::optional<NodeId> ParseNodeId(std::string_view token) {
+  if (token.empty()) return std::nullopt;
+  uint64_t value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+    if (value > std::numeric_limits<NodeId>::max()) return std::nullopt;
+  }
+  return static_cast<NodeId>(value);
+}
 
 LineRead ReadBoundedLine(std::istream& in, std::string* line) {
   line->clear();
@@ -76,40 +106,41 @@ StatusOr<UncertainGraph> ReadEdgeList(const std::string& path) {
   RELMAX_RETURN_IF_ERROR(lines.status());
 
   bool have_header = false;
-  bool directed = false;
-  unsigned num_nodes = 0;
   UncertainGraph g = UncertainGraph::Directed(0);
   for (size_t i = 0; i < lines->size(); ++i) {
     const std::string& line = (*lines)[i];
     const int line_no = static_cast<int>(i) + 1;
     if (line.empty() || line[0] == '#') continue;
+    size_t pos = 0;
     if (!have_header) {
-      char kind[32];
-      if (std::sscanf(line.c_str(), "%31s %u", kind, &num_nodes) != 2) {
+      const std::string_view kind = NextToken(line, &pos);
+      const std::optional<NodeId> num_nodes =
+          ParseNodeId(NextToken(line, &pos));
+      if (!num_nodes) {
         return Status::InvalidArgument("bad header at line " +
                                        std::to_string(line_no));
       }
-      if (std::strcmp(kind, "directed") == 0) {
-        directed = true;
-      } else if (std::strcmp(kind, "undirected") == 0) {
-        directed = false;
+      if (kind == "directed") {
+        g = UncertainGraph::Directed(*num_nodes);
+      } else if (kind == "undirected") {
+        g = UncertainGraph::Undirected(*num_nodes);
       } else {
         return Status::InvalidArgument("unknown graph kind: " +
                                        std::string(kind));
       }
-      g = directed ? UncertainGraph::Directed(num_nodes)
-                   : UncertainGraph::Undirected(num_nodes);
       have_header = true;
       continue;
     }
-    unsigned u = 0;
-    unsigned v = 0;
-    double p = 0.0;
-    if (std::sscanf(line.c_str(), "%u %u %lf", &u, &v, &p) != 3) {
+    const std::optional<NodeId> u = ParseNodeId(NextToken(line, &pos));
+    const std::optional<NodeId> v = ParseNodeId(NextToken(line, &pos));
+    const char* const p_text = line.c_str() + pos;
+    char* p_end = nullptr;
+    const double p = std::strtod(p_text, &p_end);
+    if (!u || !v || p_end == p_text) {
       return Status::InvalidArgument("bad edge at line " +
                                      std::to_string(line_no));
     }
-    RELMAX_RETURN_IF_ERROR(g.AddEdge(u, v, p));
+    RELMAX_RETURN_IF_ERROR(g.AddEdge(*u, *v, p));
   }
   if (!have_header) return Status::InvalidArgument("missing header: " + path);
   return g;

@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <istream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -36,6 +38,12 @@ LineRead ReadBoundedLine(std::istream& in, std::string* line);
 /// preserved.
 StatusOr<std::vector<std::string>> ReadTextLines(const std::string& path);
 
+/// Parses a decimal node id: one or more ASCII digits and nothing else (no
+/// sign, space or suffix), at most the largest NodeId; nullopt otherwise.
+/// Edge lists, query files and the serve protocol all parse ids through it,
+/// so none of them can wrap an id past 2^32 onto a different node.
+std::optional<NodeId> ParseNodeId(std::string_view token);
+
 /// Serializes `g` as a probabilistic edge list:
 ///
 ///   # relmax-graph v1
@@ -47,7 +55,8 @@ StatusOr<std::vector<std::string>> ReadTextLines(const std::string& path);
 Status WriteEdgeList(const UncertainGraph& g, const std::string& path);
 
 /// Parses a graph written by WriteEdgeList (or hand-authored in the same
-/// format). Fails with IoError / InvalidArgument on malformed input.
+/// format). Fails with IoError / InvalidArgument on malformed input,
+/// including a node count or an endpoint that is not a ParseNodeId id.
 StatusOr<UncertainGraph> ReadEdgeList(const std::string& path);
 
 }  // namespace relmax

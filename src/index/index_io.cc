@@ -36,13 +36,14 @@ uint64_t Mix64(uint64_t x) {
 size_t Align64(size_t x) { return (x + 63) & ~size_t{63}; }
 
 /// One section per IndexSectionKind, in kind order.
-constexpr uint32_t kIndexNumSections = 3;
+constexpr uint32_t kIndexNumSections = 2;
 
-/// ceil(log2 n), 0 for n <= 1 — must match the index's label sizing.
-int LabelBitsFor(NodeId num_nodes) {
+/// ceil(log2 n), 0 for n <= 1 or a directed g — must match the index's
+/// label sizing.
+int LabelBitsFor(const UncertainGraph& g) {
   int bits = 0;
-  if (num_nodes > 1) {
-    const NodeId max_label = num_nodes - 1;
+  if (!g.directed() && g.num_nodes() > 1) {
+    const NodeId max_label = g.num_nodes() - 1;
     while ((max_label >> bits) != 0) ++bits;
   }
   return bits;
@@ -77,8 +78,7 @@ Status WritePad(std::FILE* f, size_t from, size_t to,
 
 /// The checks every reader runs before trusting anything else in a header:
 /// is this an index file this build can read at all? Magic, version and
-/// endianness identify the format; the layout fields reject files written
-/// by edge-cut sharded builds, whose bank rows are split across sections.
+/// endianness identify the format.
 Status CheckHeaderFormat(const IndexFileHeader& h, const std::string& path) {
   if (h.magic != kIndexMagic) {
     return Status::FailedPrecondition(path +
@@ -93,49 +93,7 @@ Status CheckHeaderFormat(const IndexFileHeader& h, const std::string& path) {
     return Status::FailedPrecondition(
         path + ": index file was written on a different-endian machine");
   }
-  if (h.partition_count != 1 || h.num_shards != 1 ||
-      (h.flags & kIndexFlagSharded) != 0) {
-    return Status::FailedPrecondition(
-        path + ": index file has a sharded bank layout (" +
-        std::to_string(h.partition_count) + " partitions, " +
-        std::to_string(h.num_shards) +
-        " shards); only the flat layout is supported");
-  }
   return Status::Ok();
-}
-
-/// Per-world compact-label-domain sizes, recovered from the bit-planes: the
-/// index numbers components by first appearance in node order, so a world's
-/// domain size is its maximum label + 1.
-std::vector<uint32_t> CompactionTable(const ReliabilityIndex& index,
-                                      NodeId num_nodes, int num_worlds,
-                                      size_t world_words) {
-  std::vector<uint32_t> max_label(num_worlds, 0);
-  const std::span<const uint64_t> labels = index.label_words();
-  const int bits = index.label_bits();
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    const uint64_t* const planes =
-        labels.data() + static_cast<size_t>(v) * bits * world_words;
-    for (size_t w = 0; w < world_words; ++w) {
-      const int base = static_cast<int>(w * 64);
-      const int limit = std::min(64, num_worlds - base);
-      for (int bit = 0; bit < limit; ++bit) {
-        uint32_t label = 0;
-        for (int b = 0; b < bits; ++b) {
-          label |= static_cast<uint32_t>(
-                       (planes[static_cast<size_t>(b) * world_words + w] >>
-                        bit) &
-                       1)
-                   << b;
-        }
-        if (label > max_label[base + bit]) max_label[base + bit] = label;
-      }
-    }
-  }
-  // Domain size = max label + 1 (a world always has at least one component
-  // when the graph has nodes).
-  for (uint32_t& m : max_label) m += (num_nodes > 0) ? 1 : 0;
-  return max_label;
 }
 
 }  // namespace
@@ -277,16 +235,6 @@ StatusOr<size_t> SaveIndex(const WorldBank& bank,
     s.bytes = s.words.size() * sizeof(uint64_t);
     sections.push_back(std::move(s));
   }
-  {
-    Section s;
-    s.kind = IndexSectionKind::kLabelCompaction;
-    const std::vector<uint32_t> counts =
-        CompactionTable(index, num_nodes, num_worlds, world_words);
-    s.bytes = counts.size() * sizeof(uint32_t);
-    s.words.assign((s.bytes + 7) / 8, 0);
-    std::memcpy(s.words.data(), counts.data(), s.bytes);
-    sections.push_back(std::move(s));
-  }
 
   IndexFileHeader header = {};
   header.magic = kIndexMagic;
@@ -302,8 +250,6 @@ StatusOr<size_t> SaveIndex(const WorldBank& bank,
   header.lane_words = static_cast<uint32_t>(bitlane::kLaneWords);
   header.label_bits = static_cast<uint32_t>(label_bits);
   header.flags = g.directed() ? kIndexFlagDirected : 0;
-  header.partition_count = 1;
-  header.num_shards = 1;
   header.num_sections = static_cast<uint32_t>(sections.size());
 
   // Lay the sections out 64-byte aligned and checksum each payload.
@@ -455,7 +401,7 @@ StatusOr<LoadedIndex> LoadIndex(
   const size_t world_words = (static_cast<size_t>(num_worlds) + 63) / 64;
   const size_t stride_words = StrideWords(world_words);
   if (h.world_words != world_words ||
-      h.label_bits != static_cast<uint32_t>(LabelBitsFor(num_nodes)) ||
+      h.label_bits != static_cast<uint32_t>(LabelBitsFor(g)) ||
       h.num_sections != kIndexNumSections) {
     return Status::InvalidArgument(
         path + ": inconsistent header (corrupt or hand-edited)");
@@ -472,8 +418,7 @@ StatusOr<LoadedIndex> LoadIndex(
   std::vector<IndexSectionEntry> table(kIndexNumSections);
   std::memcpy(table.data(), base + table_offset, table_bytes);
   constexpr IndexSectionKind kExpectedKinds[kIndexNumSections] = {
-      IndexSectionKind::kBankRows, IndexSectionKind::kLabelPlanes,
-      IndexSectionKind::kLabelCompaction};
+      IndexSectionKind::kBankRows, IndexSectionKind::kLabelPlanes};
   size_t cursor = Align64(table_offset + table_bytes);
   for (size_t i = 0; i < table.size(); ++i) {
     if (table[i].kind != static_cast<uint64_t>(kExpectedKinds[i])) {
@@ -548,27 +493,6 @@ StatusOr<LoadedIndex> LoadIndex(
         " bytes, expected " +
         std::to_string(label_words_expected * sizeof(uint64_t)));
   }
-  const IndexSectionEntry& compaction_entry = table[2];
-  if (compaction_entry.length !=
-      static_cast<size_t>(num_worlds) * sizeof(uint32_t)) {
-    return Status::InvalidArgument(path +
-                                   ": label-compaction table has " +
-                                   std::to_string(compaction_entry.length) +
-                                   " bytes, expected 4 per world");
-  }
-  for (int w = 0; w < num_worlds; ++w) {
-    uint32_t count;
-    std::memcpy(&count,
-                base + compaction_entry.offset +
-                    static_cast<size_t>(w) * sizeof(uint32_t),
-                sizeof(uint32_t));
-    if (count > num_nodes || (num_nodes > 0 && count == 0)) {
-      return Status::InvalidArgument(
-          path + ": label-compaction table claims " + std::to_string(count) +
-          " components in world " + std::to_string(w) + " of a " +
-          std::to_string(num_nodes) + "-node graph");
-    }
-  }
 
   // Bank rows must keep the BitMatrix invariant the kernels rely on: bits
   // past num_worlds (the last logical word's tail and every pad word) are
@@ -604,8 +528,10 @@ StatusOr<LoadedIndex> LoadIndex(
         " bytes) exceed max_label_bytes (" +
         std::to_string(index_options.max_label_bytes) + ")");
   }
-  std::vector<uint64_t> labels(label_words_expected);
-  std::memcpy(labels.data(), base + labels_entry.offset, labels_entry.length);
+  const uint64_t* const label_words =
+      reinterpret_cast<const uint64_t*>(base + labels_entry.offset);
+  std::vector<uint64_t> labels(label_words,
+                               label_words + label_words_expected);
   out.index = std::make_unique<ReliabilityIndex>(*out.bank, index_options,
                                                  std::move(labels));
   out.generation = h.generation;

@@ -16,8 +16,8 @@ namespace relmax {
 
 /// Persistence for the offline reliability index: one mmap-able flat file
 /// holding everything a process needs to answer queries without resampling
-/// or relabeling — the bank's edge×world bit rows, the index's label
-/// bit-planes, and the per-world label-compaction tables.
+/// or relabeling — the bank's edge×world bit rows and the index's label
+/// bit-planes (an empty section for a directed index, which holds none).
 ///
 /// File layout (all integers little-endian, every payload section 64-byte
 /// aligned so loaded bank rows drop straight into the lane-block kernels):
@@ -30,9 +30,8 @@ namespace relmax {
 ///     ├────────────────────┤ pad to 64
 ///     │ kBankRows          │ the bank's edge rows, lane-stride padded
 ///     ├────────────────────┤ pad to 64
-///     │ kLabelPlanes       │ the index's raw label words
-///     ├────────────────────┤ pad to 64
-///     │ kLabelCompaction   │ per-world compact-label-domain sizes (u32 × Z)
+///     │ kLabelPlanes       │ the index's raw label words (0 bytes when
+///     │                    │ directed)
 ///     ├────────────────────┤ pad to 64
 ///     │ footer             │ magic, table checksum, per-section checksums
 ///     └────────────────────┘
@@ -65,12 +64,10 @@ struct IndexFileHeader {
   uint32_t num_worlds;      ///< Z
   uint32_t world_words;     ///< ceil(Z / 64)
   uint32_t lane_words;      ///< bitlane::kLaneWords at save time (layout key)
-  uint32_t label_bits;      ///< ceil(log2 num_nodes)
-  uint32_t flags;           ///< kIndexFlagDirected (kIndexFlagSharded: reject)
-  /// Bank layout fields: always 1 — the bank is one flat matrix. Files
-  /// from edge-cut sharded builds carry other values and are rejected.
-  uint32_t partition_count;
-  uint32_t num_shards;
+  uint32_t label_bits;      ///< ceil(log2 num_nodes); 0 when directed
+  uint32_t flags;           ///< kIndexFlagDirected
+  /// Reserved, written as 0.
+  uint32_t reserved_layout[2];
   uint32_t num_sections;
   uint32_t reserved0;
   uint64_t reserved1;
@@ -80,16 +77,16 @@ static_assert(sizeof(IndexFileHeader) == 96, "on-disk header layout");
 inline constexpr uint64_t kIndexMagic = 0x3158444958494d52;   // "RMIXIDX1"
 inline constexpr uint64_t kIndexFooterMagic =
     0x31444e4558494d52;                                       // "RMIXEND1"
-inline constexpr uint32_t kIndexFormatVersion = 1;
+/// Files of any other version (v1 had a third section) fail to load, and
+/// the engine rebuilds.
+inline constexpr uint32_t kIndexFormatVersion = 2;
 inline constexpr uint32_t kIndexEndianTag = 0x01020304;
 inline constexpr uint32_t kIndexFlagDirected = 1u << 0;
-inline constexpr uint32_t kIndexFlagSharded = 1u << 1;
 
 /// Payload section kinds, in their required file order.
 enum class IndexSectionKind : uint64_t {
-  kBankRows = 1,         ///< every edge's world row, stride-padded
-  kLabelPlanes = 2,      ///< the index's raw label words
-  kLabelCompaction = 3,  ///< u32 per world: compact label-domain size
+  kBankRows = 1,     ///< every edge's world row, stride-padded
+  kLabelPlanes = 2,  ///< the index's raw label words
 };
 
 /// On-disk section-table entry. `offset` is from the file start and must be
@@ -165,9 +162,10 @@ struct LoadedIndex {
 /// Loads `path` for (g, world_options): O(file size) — mmap, validate,
 /// checksum, adopt; no sampling and no relabeling. Typed failures:
 ///  - kNotFound: no file at `path`;
-///  - kFailedPrecondition: not an index file (magic/version/endianness), a
-///    sharded bank layout, built for a different key (digest, directedness,
-///    Z, seed, lane layout) or over `index_options.max_label_bytes`;
+///  - kFailedPrecondition: not an index file this build reads (magic,
+///    version, endianness), built for a different key (digest,
+///    directedness, Z, seed, lane layout) or over
+///    `index_options.max_label_bytes`;
 ///  - kIoError: truncation or checksum mismatch;
 ///  - kInvalidArgument: structurally malformed (inconsistent header fields,
 ///    misaligned or mis-sized sections, out-of-range payload values).

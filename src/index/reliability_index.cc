@@ -39,17 +39,6 @@ struct LabelScratch {
   std::vector<NodeId> parent;
   // Raw label -> compact label, keyed by first appearance in node order.
   std::vector<NodeId> remap;
-  // Directed iterative Tarjan.
-  std::vector<int> order;
-  std::vector<int> low;
-  std::vector<NodeId> comp;
-  std::vector<uint8_t> on_stack;
-  std::vector<NodeId> stack;
-  struct Frame {
-    NodeId v;
-    size_t arc;
-  };
-  std::vector<Frame> frames;
 };
 
 NodeId Find(std::vector<NodeId>& parent, NodeId v) {
@@ -58,6 +47,14 @@ NodeId Find(std::vector<NodeId>& parent, NodeId v) {
     v = parent[v];
   }
   return v;
+}
+
+/// Label-plane words an index over (g, num_samples) holds: none when g is
+/// directed, whose index is a reach-row cache only.
+size_t LabelWords(const UncertainGraph& g, int num_samples) {
+  if (g.directed()) return 0;
+  return ReliabilityIndex::LabelBytes(g.num_nodes(), num_samples) /
+         sizeof(uint64_t);
 }
 
 }  // namespace
@@ -70,17 +67,17 @@ size_t ReliabilityIndex::LabelBytes(NodeId num_nodes, int num_samples) {
 
 bool ReliabilityIndex::Fits(const UncertainGraph& g, int num_samples,
                             const Options& options) {
-  return LabelBytes(g.num_nodes(), num_samples) <= options.max_label_bytes;
+  return LabelWords(g, num_samples) * sizeof(uint64_t) <=
+         options.max_label_bytes;
 }
 
 ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                    const Options& options)
     : ReliabilityIndex(bank, options,
                        std::vector<uint64_t>(
-                           LabelBytes(bank.universe().num_nodes(),
-                                      bank.num_worlds()) /
-                           sizeof(uint64_t))) {
+                           LabelWords(bank.universe(), bank.num_worlds()))) {
   ++stats_.builds;
+  if (directed_) return;  // no labels to build
   stats_.worlds_relabeled += static_cast<size_t>(num_worlds_);
   RelabelWorlds(AllWorlds(num_worlds_, world_words_));
 }
@@ -93,7 +90,9 @@ ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
       num_nodes_(bank.universe().num_nodes()),
       num_worlds_(bank.num_worlds()),
       world_words_(bank.world_words()),
-      label_bits_(LabelBits(bank.universe().num_nodes())),
+      label_bits_(bank.universe().directed()
+                      ? 0
+                      : LabelBits(bank.universe().num_nodes())),
       directed_(bank.universe().directed()),
       labels_(std::move(labels)) {
   RELMAX_CHECK(Fits(bank.universe(), num_worlds_, options_));
@@ -109,10 +108,8 @@ std::unique_ptr<ReliabilityIndex> ReliabilityIndex::Clone(
 }
 
 void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
-  const UncertainGraph& universe = bank_->universe();
   const size_t num_rows = static_cast<size_t>(num_nodes_) * label_bits_;
-  const std::vector<Edge>& edges = universe.EdgesById();
-  const CsrView csr = directed_ ? universe.OutCsr() : CsrView{};
+  const std::vector<Edge>& edges = bank_->universe().EdgesById();
   // One shard per 64-world word: a shard writes only bit-word `word` of every
   // plane row, so shards are race-free, and per-world labels are a pure
   // function of the bank bits — bit-identical for any num_threads.
@@ -127,130 +124,44 @@ void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
         for (size_t row = 0; row < num_rows; ++row) {
           labels_[row * world_words_ + word] &= keep;
         }
-        scratch->up_words.resize(edges.size());
+        LabelScratch& s = *scratch;
+        s.up_words.resize(edges.size());
         for (size_t e = 0; e < edges.size(); ++e) {
-          scratch->up_words[e] =
-              bank_->EdgeUpWorlds(static_cast<EdgeId>(e))[word];
+          s.up_words[e] = bank_->EdgeUpWorlds(static_cast<EdgeId>(e))[word];
         }
         for (int bit = 0; bit < 64; ++bit) {
           if (((mask_word >> bit) & 1) == 0) continue;
           if (static_cast<int>(word * 64) + bit >= num_worlds_) break;
           const uint64_t world_bit = uint64_t{1} << bit;
-          LabelScratch& s = *scratch;
-          // Writes bit `world_bit` of word `word` in v's planes for `label`.
-          auto write_label = [&](NodeId v, NodeId label) {
+          // Exact connected components: union-find over the world's up
+          // edges, labels compacted by first appearance in node order.
+          s.parent.resize(num_nodes_);
+          for (NodeId v = 0; v < num_nodes_; ++v) s.parent[v] = v;
+          for (size_t e = 0; e < edges.size(); ++e) {
+            if ((s.up_words[e] & world_bit) == 0) continue;
+            const NodeId a = Find(s.parent, edges[e].src);
+            const NodeId b = Find(s.parent, edges[e].dst);
+            if (a != b) s.parent[std::max(a, b)] = std::min(a, b);
+          }
+          s.remap.assign(num_nodes_, kInvalidNode);
+          NodeId next = 0;
+          for (NodeId v = 0; v < num_nodes_; ++v) {
+            const NodeId root = Find(s.parent, v);
+            if (s.remap[root] == kInvalidNode) s.remap[root] = next++;
+            // Set bit `world_bit` of word `word` in v's planes for its label.
+            const NodeId label = s.remap[root];
             uint64_t* base =
                 labels_.data() +
                 static_cast<size_t>(v) * label_bits_ * world_words_ + word;
             for (int b = 0; b < label_bits_; ++b) {
-              if ((label >> b) & 1) base[static_cast<size_t>(b) *
-                                         world_words_] |= world_bit;
-            }
-          };
-          auto edge_up = [&](EdgeId e) {
-            return (s.up_words[e] & world_bit) != 0;
-          };
-          if (!directed_) {
-            // Exact connected components: union-find over the world's up
-            // edges, labels compacted by first appearance in node order.
-            s.parent.resize(num_nodes_);
-            for (NodeId v = 0; v < num_nodes_; ++v) s.parent[v] = v;
-            for (size_t e = 0; e < edges.size(); ++e) {
-              if (!edge_up(static_cast<EdgeId>(e))) continue;
-              const NodeId a = Find(s.parent, edges[e].src);
-              const NodeId b = Find(s.parent, edges[e].dst);
-              if (a != b) s.parent[std::max(a, b)] = std::min(a, b);
-            }
-            s.remap.assign(num_nodes_, kInvalidNode);
-            NodeId next = 0;
-            for (NodeId v = 0; v < num_nodes_; ++v) {
-              const NodeId root = Find(s.parent, v);
-              if (s.remap[root] == kInvalidNode) s.remap[root] = next++;
-              write_label(v, s.remap[root]);
-            }
-            continue;
-          }
-          // Directed: SCC condensation by iterative Tarjan over the out-CSR,
-          // skipping arcs that are down in this world.
-          s.order.assign(num_nodes_, -1);
-          s.low.resize(num_nodes_);
-          s.comp.resize(num_nodes_);
-          s.on_stack.assign(num_nodes_, 0);
-          s.stack.clear();
-          s.frames.clear();
-          int next_order = 0;
-          NodeId num_comps = 0;
-          for (NodeId root = 0; root < num_nodes_; ++root) {
-            if (s.order[root] >= 0) continue;
-            s.order[root] = s.low[root] = next_order++;
-            s.stack.push_back(root);
-            s.on_stack[root] = 1;
-            s.frames.push_back({root, csr.begin(root)});
-            while (!s.frames.empty()) {
-              LabelScratch::Frame& f = s.frames.back();
-              const NodeId v = f.v;
-              bool descended = false;
-              while (f.arc < csr.end(v)) {
-                const size_t a = f.arc++;
-                if (!edge_up(csr.edge_ids[a])) continue;
-                const NodeId to = csr.heads[a];
-                if (s.order[to] < 0) {
-                  s.order[to] = s.low[to] = next_order++;
-                  s.stack.push_back(to);
-                  s.on_stack[to] = 1;
-                  s.frames.push_back({to, csr.begin(to)});  // invalidates f
-                  descended = true;
-                  break;
-                }
-                if (s.on_stack[to] && s.order[to] < s.low[v]) {
-                  s.low[v] = s.order[to];
-                }
-              }
-              if (descended) continue;
-              s.frames.pop_back();
-              if (s.low[v] == s.order[v]) {
-                NodeId u;
-                do {
-                  u = s.stack.back();
-                  s.stack.pop_back();
-                  s.on_stack[u] = 0;
-                  s.comp[u] = num_comps;
-                } while (u != v);
-                ++num_comps;
-              }
-              if (!s.frames.empty() && s.low[v] < s.low[s.frames.back().v]) {
-                s.low[s.frames.back().v] = s.low[v];
+              if ((label >> b) & 1) {
+                base[static_cast<size_t>(b) * world_words_] |= world_bit;
               }
             }
-          }
-          // Tarjan numbers SCCs in completion order; renumber by first
-          // appearance in node order so labels are canonical.
-          s.remap.assign(num_nodes_, kInvalidNode);
-          NodeId next = 0;
-          for (NodeId v = 0; v < num_nodes_; ++v) {
-            if (s.remap[s.comp[v]] == kInvalidNode) s.remap[s.comp[v]] = next++;
-            write_label(v, s.remap[s.comp[v]]);
           }
         }
       },
       [](std::unique_ptr<LabelScratch>&) {});
-}
-
-std::vector<uint64_t> ReliabilityIndex::EqualLabelWorlds(NodeId s,
-                                                         NodeId t) const {
-  std::vector<uint64_t> diff(world_words_, 0);
-  const uint64_t* s_planes =
-      labels_.data() + static_cast<size_t>(s) * label_bits_ * world_words_;
-  const uint64_t* t_planes =
-      labels_.data() + static_cast<size_t>(t) * label_bits_ * world_words_;
-  for (int b = 0; b < label_bits_; ++b) {
-    const uint64_t* sp = s_planes + static_cast<size_t>(b) * world_words_;
-    const uint64_t* tp = t_planes + static_cast<size_t>(b) * world_words_;
-    for (size_t w = 0; w < world_words_; ++w) diff[w] |= sp[w] ^ tp[w];
-  }
-  std::vector<uint64_t> eq = AllWorlds(num_worlds_, world_words_);
-  for (size_t w = 0; w < world_words_; ++w) eq[w] &= ~diff[w];
-  return eq;
 }
 
 std::shared_ptr<const bitlane::BitMatrix> ReliabilityIndex::SourceReach(
@@ -295,17 +206,27 @@ ReliabilityIndex::Stats ReliabilityIndex::stats() const {
 std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
                                                         NodeId t) const {
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
-  std::vector<uint64_t> eq = EqualLabelWorlds(s, t);
-  if (!directed_) return eq;
-  // Same SCC in every world ⇒ mutually reachable everywhere: answer without
-  // any flood. (The flood would set exactly these bits too.)
-  if (WorldBank::CountBits(eq, static_cast<size_t>(num_worlds_)) ==
-      num_worlds_) {
-    return eq;
+  if (directed_) {
+    // The flood seeds s in every world, so row s is all worlds for s == t.
+    const std::shared_ptr<const bitlane::BitMatrix> reach = SourceReach(s);
+    const std::span<const uint64_t> row = reach->row_span(t);
+    return std::vector<uint64_t>(row.begin(), row.end());
   }
-  const std::shared_ptr<const bitlane::BitMatrix> reach = SourceReach(s);
-  const std::span<const uint64_t> row = reach->row_span(t);
-  return std::vector<uint64_t>(row.begin(), row.end());
+  // ~OR_b(plane_b(s) XOR plane_b(t)), tail-masked: the worlds where s and t
+  // carry equal component labels.
+  std::vector<uint64_t> diff(world_words_, 0);
+  const uint64_t* s_planes =
+      labels_.data() + static_cast<size_t>(s) * label_bits_ * world_words_;
+  const uint64_t* t_planes =
+      labels_.data() + static_cast<size_t>(t) * label_bits_ * world_words_;
+  for (int b = 0; b < label_bits_; ++b) {
+    const uint64_t* sp = s_planes + static_cast<size_t>(b) * world_words_;
+    const uint64_t* tp = t_planes + static_cast<size_t>(b) * world_words_;
+    for (size_t w = 0; w < world_words_; ++w) diff[w] |= sp[w] ^ tp[w];
+  }
+  std::vector<uint64_t> eq = AllWorlds(num_worlds_, world_words_);
+  for (size_t w = 0; w < world_words_; ++w) eq[w] &= ~diff[w];
+  return eq;
 }
 
 double ReliabilityIndex::Query(NodeId s, NodeId t) const {
@@ -364,8 +285,11 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
   stats_.reach_rows_cached = 0;
   stats_.reach_floods = 0;
   stats_.reach_row_evictions = 0;
-  const size_t worlds = static_cast<size_t>(
-      WorldBank::CountBits(affected, static_cast<size_t>(num_worlds_)));
+  // A directed index holds no labels: nothing to relabel.
+  const size_t worlds =
+      directed_ ? 0
+                : static_cast<size_t>(WorldBank::CountBits(
+                      affected, static_cast<size_t>(num_worlds_)));
   ++stats_.incremental_updates;
   stats_.last_update_worlds = worlds;
   stats_.worlds_relabeled += worlds;

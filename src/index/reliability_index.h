@@ -15,16 +15,15 @@
 
 namespace relmax {
 
-/// Offline per-world connectivity index over a WorldBank: answers
-/// R(s, t) = |{worlds where t is reachable from s}| / Z with **no flood at
-/// query time**.
+/// Offline connectivity index over a WorldBank: answers R(s, t) =
+/// |{worlds where t is reachable from s}| / Z from precomputed per-world
+/// structure instead of a flood per query.
 ///
 /// The flood-per-source engine (PR 5) pays O(E · Z/64 · passes) per distinct
 /// source; under random-pair workloads almost every query is a new source and
 /// batching amortizes nothing. Following the indexing insight of Sasaki et
 /// al. (PAPERS.md) — precompute structure over the sampled worlds once,
-/// answer repeated queries from the digest — this index labels every world's
-/// connectivity offline:
+/// answer repeated queries from the digest:
 ///
 /// **Undirected:** each world w gets exact connected-component labels
 /// (union-find per world at build time). Labels are stored as B =
@@ -34,17 +33,16 @@ namespace relmax {
 /// `~OR_b(plane_b(s) XOR plane_b(t))`, a B · Z/64 word sweep ending in a
 /// popcount — O(Z/64 · log n) per query, no graph traversal.
 ///
-/// **Directed:** per-world SCC condensation labels (iterative Tarjan per
-/// world), stored in the same bitplane layout. SCC equality gives the worlds
-/// where s and t are mutually reachable; when that covers every world the
-/// query is answered outright (R = 1). Residual one-way reachability comes
-/// from a lazily cached per-source reach row: the first query from source s
-/// runs one word-parallel flood over the bank and memoizes its n × Z reach
-/// matrix, so subsequent queries from s are single-row popcounts. Matrices
-/// are evicted FIFO under `Options::max_reach_bytes`.
+/// **Directed:** a lazy per-source reach-row cache, with no label planes.
+/// Reachability is one-way, so a per-world label can only prove s→t when s
+/// and t are mutually reachable, and on sparse directed graphs such pairs
+/// are too rare to pay for labeling every world. The first query from
+/// source s runs one word-parallel flood over the bank and memoizes its
+/// n × Z reach matrix, so later queries from s are single-row popcounts.
+/// Matrices are evicted FIFO under `Options::max_reach_bytes`.
 ///
 /// **Bit purity:** every answer equals the shared-flood path over the same
-/// bank, bit for bit — components/SCCs and floods are exact per world, so the
+/// bank, bit for bit — components and floods are exact per world, so the
 /// connected-worlds bitsets are identical, not just statistically close.
 ///
 /// **Incremental maintenance:** after a graph mutation the owner rebuilds the
@@ -54,7 +52,8 @@ namespace relmax {
 /// rows. Only the affected worlds' label columns are recomputed; unaffected
 /// worlds keep their labels untouched. A single-edge probability nudge
 /// typically flips a small fraction of worlds, so relabeling — the expensive
-/// part — scales with the size of the change, not with Z.
+/// part — scales with the size of the change, not with Z. A directed index
+/// only swaps the bank and drops its reach cache.
 ///
 /// Determinism: labels are filled by the counter-seeded sharded executor
 /// (shard i owns bit-word i of every plane), and per-world labeling is
@@ -68,9 +67,9 @@ namespace relmax {
 class ReliabilityIndex {
  public:
   struct Options {
-    /// Cap on the label-plane footprint (n · ceil(log2 n) · Z bits). Above
-    /// it, construction refuses (Fits() returns false) — callers keep the
-    /// flood path instead.
+    /// Cap on the undirected label-plane footprint (n · ceil(log2 n) · Z
+    /// bits). Above it, construction refuses (Fits() returns false) — callers
+    /// keep the flood path instead. A directed index holds no planes.
     size_t max_label_bytes = size_t{128} << 20;
     /// Cap on the bytes the directed lazy reach cache's matrices hold (n
     /// lane-padded rows of Z bits per source). Oldest sources go first.
@@ -92,7 +91,8 @@ class ReliabilityIndex {
     size_t builds = 0;
     /// ApplyBankUpdate calls that kept unaffected worlds.
     size_t incremental_updates = 0;
-    /// Worlds relabeled across all builds and updates.
+    /// Worlds relabeled across all builds and updates (always 0 for a
+    /// directed index, which holds no labels).
     size_t worlds_relabeled = 0;
     /// Worlds relabeled by the most recent ApplyBankUpdate.
     size_t last_update_worlds = 0;
@@ -119,11 +119,11 @@ class ReliabilityIndex {
                    std::vector<uint64_t> labels);
 
   /// Whether the label planes for (g, num_samples) fit under
-  /// `options.max_label_bytes`.
+  /// `options.max_label_bytes`; always true for a directed g.
   static bool Fits(const UncertainGraph& g, int num_samples,
                    const Options& options);
 
-  /// Label-plane bytes for (num_nodes, num_samples).
+  /// Label-plane bytes of an undirected index over (num_nodes, num_samples).
   static size_t LabelBytes(NodeId num_nodes, int num_samples);
 
   /// R(s, t): fraction of worlds where t is reachable from s. Directed
@@ -145,7 +145,8 @@ class ReliabilityIndex {
   /// the same num_worlds and universe num_nodes as the indexed bank (edges
   /// may have been appended) and replaces it as the index's bank; the
   /// directed reach cache is dropped. Pass DiffWorlds(old, fresh) to get the
-  /// exact mask.
+  /// exact mask. A directed index holds no labels, so it ignores the mask
+  /// and relabels nothing.
   void ApplyBankUpdate(const WorldBank& fresh,
                        const std::vector<uint64_t>& affected);
 
@@ -157,7 +158,8 @@ class ReliabilityIndex {
                                           const WorldBank& fresh);
 
   int num_worlds() const { return num_worlds_; }
-  /// Bitplanes per node (ceil(log2 num_nodes); 0 for a 1-node graph).
+  /// Bitplanes per node (ceil(log2 num_nodes); 0 for a 1-node or a
+  /// directed graph).
   int label_bits() const { return label_bits_; }
   /// Bytes held by the label planes.
   size_t label_bytes() const { return labels_.size() * sizeof(uint64_t); }
@@ -177,10 +179,6 @@ class ReliabilityIndex {
   // The reach matrix for `s` (row v = worlds where v is reachable from s),
   // flooding on first use.
   std::shared_ptr<const bitlane::BitMatrix> SourceReach(NodeId s) const;
-
-  // OR_b(plane_b(s) XOR plane_b(t)) complemented and tail-masked: the worlds
-  // where s and t carry equal labels.
-  std::vector<uint64_t> EqualLabelWorlds(NodeId s, NodeId t) const;
 
   const WorldBank* bank_;  // replaced by ApplyBankUpdate
   Options options_;

@@ -72,8 +72,12 @@ void QueryEngine::Advance(const WorldBank* old_bank,
   fill.num_threads = num_workers;
   auto fresh = std::make_shared<const WorldBank>(graph_, fill);
   if (index != nullptr && UseIndex() && GraphExtendsIndexedShape()) {
-    index->ApplyBankUpdate(*fresh,
-                           ReliabilityIndex::DiffWorlds(*old_bank, *fresh));
+    // An index with no label planes (directed) has no worlds to relabel, so
+    // it skips the whole-bank diff.
+    index->ApplyBankUpdate(
+        *fresh, index->label_bytes() == 0
+                    ? std::vector<uint64_t>(fresh->world_words(), 0)
+                    : ReliabilityIndex::DiffWorlds(*old_bank, *fresh));
   } else {
     index.reset();
   }
@@ -198,9 +202,9 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
     stats->bank_bytes = BankBytes(bank_->num_edges(), bank_->num_worlds());
   }
   if (UseIndex()) {
-    // Every answer is a label-plane popcount (undirected / same-SCC) or a
-    // cached reach-row popcount (directed residual); all are pure functions
-    // of the bank bits, so batch order and thread count cannot matter.
+    // Every answer is a label-plane popcount (undirected) or a cached
+    // reach-row popcount (directed); both are pure functions of the bank
+    // bits, so batch order and thread count cannot matter.
     for (const StQuery& q : pairs) {
       (*resolved)[PairKey(q.s, q.t)] = index_->Query(q.s, q.t);
     }

@@ -40,11 +40,12 @@ struct QueryEngineOptions {
   /// estimated independently — exactly EstimateReliability(g, s, t) under
   /// the same (Z, seed, threads).
   bool reuse_worlds = true;
-  /// Answer from the offline per-world connectivity index (src/index):
-  /// labels are built once over the shared bank and every query becomes a
-  /// popcount — bit-identical to the flood path over the same bank. Applies
-  /// on top of reuse_worlds; when the index is disabled or over its caps the
-  /// engine floods exactly as before.
+  /// Answer from the offline connectivity index (src/index): undirected
+  /// labels are built once over the shared bank, directed reach rows are
+  /// cached per source, and every query becomes a popcount — bit-identical
+  /// to the flood path over the same bank. Applies on top of reuse_worlds;
+  /// when the index is disabled or over its caps the engine floods exactly
+  /// as before.
   bool use_index = false;
   /// Persistent index file (index/index_io.h). Non-empty implies use_index.
   /// On the first indexed batch the engine tries to mmap-load this file
@@ -157,10 +158,11 @@ struct BatchResult {
 /// depends only on (bank bits, source), so results are **bit-identical for
 /// any num_threads** and for any batch composition or order.
 ///
-/// With `use_index` the engine goes one step further: it builds a
-/// ReliabilityIndex (per-world component/SCC labels) over the bank once, and
-/// every query becomes a popcount with no flood at all — bit-identical to
-/// the flood path by construction. See src/index/reliability_index.h.
+/// With `use_index` the engine keeps a ReliabilityIndex over the bank, and
+/// every query becomes a popcount: of per-world component labels built once
+/// (undirected), or of a reach row cached per source (directed), so later
+/// queries from a source reuse its flood. Answers stay bit-identical to the
+/// flood path by construction. See src/index/reliability_index.h.
 ///
 /// Answers are memoized: a pair asked again while the graph's version() is
 /// unchanged is free. Any mutation (AddEdge/UpdateEdgeProb/assignment)
@@ -219,8 +221,8 @@ class QueryEngine {
   // bit-identical to a fresh engine's, bank bits being a pure function of
   // (probs, Z, seed). When graph_ extends the indexed shape (same nodes,
   // same existing-edge endpoints), `index` relabels only the worlds whose
-  // edge presence changed and is republished; otherwise it drops. With no
-  // old bank, both stay lazy.
+  // edge presence changed (none for a directed index, which holds no labels)
+  // and is republished; otherwise it drops. With no old bank, both stay lazy.
   void Advance(const WorldBank* old_bank,
                std::unique_ptr<ReliabilityIndex> index, int num_workers);
 

@@ -1,8 +1,8 @@
 #include "query/query_set.h"
 
 #include <cctype>
-#include <cstdio>
-#include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,9 +20,8 @@ Status CheckNode(NodeId v, const UncertainGraph& g, const char* what) {
 
 // Parses one query-file line into `set`: strips a trailing '#' comment,
 // skips blank lines, and accepts exactly "s t". Anything but digits and
-// whitespace — a sign, a third token, letters — is rejected, which also
-// keeps sscanf's silent negative-wraparound out; ids past NodeId's range
-// fail loudly instead of truncating to a different node.
+// whitespace — a sign, a third token, letters — is rejected; ids past
+// NodeId's range fail loudly instead of truncating to a different node.
 Status ParseQueryLine(const std::string& raw, int line_no, QuerySet* set) {
   if (raw.find('\0') != std::string::npos) {
     return Status::InvalidArgument("NUL byte at line " +
@@ -49,20 +48,19 @@ Status ParseQueryLine(const std::string& raw, int line_no, QuerySet* set) {
   if (line.find_first_not_of("0123456789 \t", start) != std::string::npos) {
     return malformed();
   }
-  unsigned long long s = 0;
-  unsigned long long t = 0;
-  int consumed = 0;
-  if (std::sscanf(line.c_str() + start, "%llu %llu %n", &s, &t, &consumed) !=
-          2 ||
-      start + static_cast<size_t>(consumed) != line.size()) {
-    return malformed();
-  }
-  constexpr unsigned long long kMaxNode = std::numeric_limits<NodeId>::max();
-  if (s > kMaxNode || t > kMaxNode) {
+  std::istringstream tokens(line);
+  std::string s_token;
+  std::string t_token;
+  std::string extra;
+  if (!(tokens >> s_token >> t_token) || (tokens >> extra)) return malformed();
+  // Only digits remain, so a failed parse is an id past NodeId's range.
+  const std::optional<NodeId> s = ParseNodeId(s_token);
+  const std::optional<NodeId> t = ParseNodeId(t_token);
+  if (!s || !t) {
     return Status::InvalidArgument("node id out of range at line " +
                                    std::to_string(line_no) + ": " + line);
   }
-  set->AddSt(static_cast<NodeId>(s), static_cast<NodeId>(t));
+  set->AddSt(*s, *t);
   return Status::Ok();
 }
 

@@ -1,9 +1,12 @@
 #include "serve/protocol.h"
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "graph/graph_io.h"
 
 namespace relmax {
 namespace serve {
@@ -24,17 +27,11 @@ Status BadArity(const std::string& command, size_t want, size_t got) {
 
 Status ParseNode(const std::string& command, const std::string& token,
                  NodeId* out) {
-  size_t pos = 0;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(token, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != token.size() || token[0] == '-') {
+  const std::optional<NodeId> id = ParseNodeId(token);
+  if (!id) {
     return Status::InvalidArgument(command + ": bad node id '" + token + "'");
   }
-  *out = static_cast<NodeId>(value);
+  *out = *id;
   return Status::Ok();
 }
 

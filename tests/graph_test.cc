@@ -356,6 +356,25 @@ TEST(GraphIoTest, RejectsNanProbability) {
   std::remove(path.c_str());
 }
 
+TEST(GraphIoTest, RejectsNodeIdsPastNodeIdRange) {
+  // Regression: ids and the node count were parsed with %u, which wrapped
+  // 4294967298 to 2 (the edge loaded as 2 -> 1) and read a
+  // "directed 4294967300" header as a 4-node graph. A sign wrapped too.
+  const std::string path = testing::TempDir() + "/relmax_io_wrap.graph";
+  for (const char* text :
+       {"directed 4\n4294967298 1 0.9\n", "directed 4\n1 4294967298 0.9\n",
+        "directed 4294967300\n0 1 0.5\n", "directed 4\n-1 1 0.5\n",
+        "directed 4\n1x 2 0.5\n"}) {
+    FILE* f = fopen(path.c_str(), "w");
+    fputs(text, f);
+    fclose(f);
+    EXPECT_EQ(ReadEdgeList(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(GraphIoTest, MissingFile) {
   EXPECT_EQ(ReadEdgeList("/nonexistent/graph.txt").status().code(),
             StatusCode::kIoError);

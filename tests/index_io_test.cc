@@ -186,11 +186,12 @@ TEST(IndexIoTest, MissingFileIsNotFound) {
 
 // Fixture for the corruption battery: one saved file, plus helpers that
 // corrupt a copy and assert the typed error AND the query engine's clean
-// rebuild fallback.
-class IndexIoCorruptionTest : public ::testing::Test {
+// rebuild fallback. The parameter is the graph's directedness; a directed
+// file's label section is empty.
+class IndexIoCorruptionTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
-    graph_ = RandomGraph(401, 12, 0.25, true);
+    graph_ = RandomGraph(401, 12, 0.25, GetParam());
     options_ = WorldBank::Options{.num_samples = kZ, .seed = 5};
     path_ = TempPath("corrupt.rmx");
     BuildAndSave(graph_, options_, path_);
@@ -199,8 +200,9 @@ class IndexIoCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     info_ = *info;
     ASSERT_EQ(info_.header.num_sections, info_.sections.size());
-    // Bank rows + labels + compaction.
-    ASSERT_EQ(info_.sections.size(), 3u);
+    // Bank rows + labels.
+    ASSERT_EQ(info_.sections.size(), 2u);
+    ASSERT_EQ(info_.sections[1].length == 0, GetParam());
   }
 
   StatusCode LoadCode(std::string* message = nullptr) {
@@ -242,7 +244,7 @@ class IndexIoCorruptionTest : public ::testing::Test {
   IndexFileInfo info_;
 };
 
-TEST_F(IndexIoCorruptionTest, TruncationAtEveryBoundaryIsIoError) {
+TEST_P(IndexIoCorruptionTest, TruncationAtEveryBoundaryIsIoError) {
   std::vector<size_t> cuts = {0, 1, sizeof(IndexFileHeader) - 1,
                               sizeof(IndexFileHeader)};
   for (const IndexSectionEntry& s : info_.sections) {
@@ -264,10 +266,10 @@ TEST_F(IndexIoCorruptionTest, TruncationAtEveryBoundaryIsIoError) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, BitFlipInEverySectionIsIoError) {
+TEST_P(IndexIoCorruptionTest, BitFlipInEverySectionIsIoError) {
   for (size_t i = 0; i < info_.sections.size(); ++i) {
     const IndexSectionEntry& s = info_.sections[i];
-    ASSERT_GT(s.length, 0u);
+    if (s.length == 0) continue;  // no byte to flip
     std::vector<unsigned char> bytes = pristine_;
     bytes[s.offset + s.length / 2] ^= 0x10;
     WriteFileBytes(path_, bytes);
@@ -278,7 +280,7 @@ TEST_F(IndexIoCorruptionTest, BitFlipInEverySectionIsIoError) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, BitFlipInSectionTableIsIoError) {
+TEST_P(IndexIoCorruptionTest, BitFlipInSectionTableIsIoError) {
   std::vector<unsigned char> bytes = pristine_;
   // Flip a low bit of the first entry's length. Depending on how the lie
   // interacts with the 64-byte layout walk this surfaces as a layout error
@@ -292,7 +294,7 @@ TEST_F(IndexIoCorruptionTest, BitFlipInSectionTableIsIoError) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, SwappedDigestIsFailedPrecondition) {
+TEST_P(IndexIoCorruptionTest, SwappedDigestIsFailedPrecondition) {
   std::vector<unsigned char> bytes = pristine_;
   uint64_t digest;
   std::memcpy(&digest, bytes.data() + offsetof(IndexFileHeader, graph_digest),
@@ -307,7 +309,7 @@ TEST_F(IndexIoCorruptionTest, SwappedDigestIsFailedPrecondition) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, HeaderLyingAboutZIsTyped) {
+TEST_P(IndexIoCorruptionTest, HeaderLyingAboutZIsTyped) {
   // A file whose header claims a different Z than the caller expects is a
   // key mismatch (the honest case: a stale file saved under other options).
   std::vector<unsigned char> bytes = pristine_;
@@ -330,7 +332,7 @@ TEST_F(IndexIoCorruptionTest, HeaderLyingAboutZIsTyped) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, ZeroedFooterIsIoError) {
+TEST_P(IndexIoCorruptionTest, ZeroedFooterIsIoError) {
   std::vector<unsigned char> bytes = pristine_;
   const size_t footer_bytes =
       (2 + info_.sections.size()) * sizeof(uint64_t);
@@ -342,7 +344,7 @@ TEST_F(IndexIoCorruptionTest, ZeroedFooterIsIoError) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, BadMagicAndVersionAreFailedPrecondition) {
+TEST_P(IndexIoCorruptionTest, BadMagicAndVersionAreFailedPrecondition) {
   std::vector<unsigned char> bytes = pristine_;
   bytes[0] ^= 0xff;
   WriteFileBytes(path_, bytes);
@@ -357,27 +359,31 @@ TEST_F(IndexIoCorruptionTest, BadMagicAndVersionAreFailedPrecondition) {
   ExpectEngineRebuildFallback();
 }
 
-TEST_F(IndexIoCorruptionTest, ShardedLayoutHeaderIsFailedPrecondition) {
-  // Only the flat bank layout exists: a header declaring 2 partitions, 2
-  // shards or flags == kIndexFlagSharded (as edge-cut sharded builds wrote)
-  // is refused with a typed error before any payload is read.
-  static_assert(kIndexFlagSharded == 2);
-  for (const size_t offset : {offsetof(IndexFileHeader, partition_count),
-                              offsetof(IndexFileHeader, num_shards),
-                              offsetof(IndexFileHeader, flags)}) {
-    std::vector<unsigned char> bytes = pristine_;
-    const uint32_t two = 2;
-    std::memcpy(bytes.data() + offset, &two, sizeof(two));
-    WriteFileBytes(path_, bytes);
-    std::string message;
-    EXPECT_EQ(LoadCode(&message), StatusCode::kFailedPrecondition)
-        << "offset " << offset;
-    EXPECT_NE(message.find("sharded"), std::string::npos) << message;
-    EXPECT_EQ(InspectIndexFile(path_).status().code(),
-              StatusCode::kFailedPrecondition);
-    ExpectEngineRebuildFallback();
-  }
+TEST_P(IndexIoCorruptionTest, ShardedLayoutHeaderIsFailedPrecondition) {
+  // Edge-cut sharded builds wrote format version 1 with a 2-partition,
+  // 2-shard layout in what are now reserved fields. The version check
+  // refuses such a file with a typed error before any payload is read.
+  std::vector<unsigned char> bytes = pristine_;
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + offsetof(IndexFileHeader, format_version), &v1,
+              sizeof(v1));
+  const uint32_t layout[2] = {2, 2};
+  std::memcpy(bytes.data() + offsetof(IndexFileHeader, reserved_layout),
+              layout, sizeof(layout));
+  WriteFileBytes(path_, bytes);
+  std::string message;
+  EXPECT_EQ(LoadCode(&message), StatusCode::kFailedPrecondition);
+  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+  EXPECT_EQ(InspectIndexFile(path_).status().code(),
+            StatusCode::kFailedPrecondition);
+  ExpectEngineRebuildFallback();
 }
+
+INSTANTIATE_TEST_SUITE_P(Directedness, IndexIoCorruptionTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Directed" : "Undirected";
+                         });
 
 TEST(IndexIoEngineTest, BatchLoadElseBuildAndSave) {
   const UncertainGraph g = RandomGraph(55, 11, 0.3, false);

@@ -1,8 +1,8 @@
-// ReliabilityIndex: per-world component/SCC labels must reproduce the
-// word-parallel flood bit-for-bit (undirected and directed), incremental
-// maintenance must equal a full rebuild while touching only the affected
-// worlds, and the directed reach-row cache must evict without changing
-// answers.
+// ReliabilityIndex: undirected component labels and directed reach rows must
+// reproduce the word-parallel flood bit-for-bit, incremental maintenance
+// must equal a full rebuild while relabeling only the affected worlds (none
+// for a directed index, which holds no labels), and the directed reach-row
+// cache must evict without changing answers.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -78,9 +78,10 @@ TEST(ReliabilityIndexTest, LabelsAreThreadInvariant) {
   }
 }
 
-TEST(ReliabilityIndexTest, StronglyConnectedWorldNeedsNoFlood) {
-  // A certain 3-cycle is one SCC in every world: every pair answers from the
-  // label planes alone, so the lazy flood never runs.
+TEST(ReliabilityIndexTest, StronglyConnectedWorldFloodsOncePerSource) {
+  // A certain 3-cycle connects every pair in every world. A directed index
+  // holds no labels, so each source floods once and its row answers every
+  // target.
   UncertainGraph g = UncertainGraph::Directed(3);
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 2, 1.0).ok());
@@ -92,7 +93,7 @@ TEST(ReliabilityIndexTest, StronglyConnectedWorldNeedsNoFlood) {
       EXPECT_DOUBLE_EQ(index.Query(s, t), 1.0);
     }
   }
-  EXPECT_EQ(index.stats().reach_floods, 0u);
+  EXPECT_EQ(index.stats().reach_floods, 3u);
 }
 
 TEST(ReliabilityIndexTest, DiffWorldsFindsExactlyTheChangedWorlds) {
@@ -131,8 +132,10 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateEqualsFullRebuild) {
         ReliabilityIndex::DiffWorlds(before, after);
     incremental.ApplyBankUpdate(after, mask);
     EXPECT_EQ(incremental.stats().incremental_updates, 1u);
+    // A directed index holds no labels: the update only swaps the bank.
     EXPECT_EQ(incremental.stats().last_update_worlds,
-              static_cast<size_t>(WorldBank::CountBits(mask, 256)));
+              directed ? 0u
+                       : static_cast<size_t>(WorldBank::CountBits(mask, 256)));
     EXPECT_LT(incremental.stats().last_update_worlds, 256u);
 
     ReliabilityIndex rebuilt(after, {});
@@ -238,6 +241,15 @@ TEST(ReliabilityIndexTest, FitsAndFootprint) {
   ReliabilityIndex index(bank, roomy);
   EXPECT_EQ(index.label_bytes(), ReliabilityIndex::LabelBytes(100, 128));
   EXPECT_EQ(index.label_bits(), 7);
+
+  // A directed index is a reach-row cache: no planes, so it fits any cap.
+  const UncertainGraph dg = RandomGraph(137, 100, 0.05, true);
+  EXPECT_TRUE(ReliabilityIndex::Fits(dg, 128, tight));
+  const WorldBank directed_bank(dg, {.num_samples = 128, .seed = 23});
+  ReliabilityIndex directed_index(directed_bank, tight);
+  EXPECT_EQ(directed_index.label_bytes(), 0u);
+  EXPECT_EQ(directed_index.label_bits(), 0);
+  EXPECT_EQ(directed_index.stats().worlds_relabeled, 0u);
 }
 
 TEST(ReliabilityIndexTest, TrivialGraphs) {

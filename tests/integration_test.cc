@@ -277,10 +277,9 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "(20000 samples, shard bank bytes [5008], <t> s)\n");
 
   // Index path: same bank, same bits — the R values must equal the
-  // shared-flood run digit for digit. 4 nodes -> 2 label bits; 20000 worlds
-  // -> 313 words -> 4 * 2 * 313 * 8 = 20032 label bytes; the build labels
-  // all 20000 worlds; the acyclic Example-3 graph has singleton SCCs, so
-  // each of the 3 distinct sources needs one lazy reach flood.
+  // shared-flood run digit for digit. Example-3 is directed, so the index
+  // is a reach-row cache: 0 label bits, 0 label bytes, no world relabeled,
+  // and each of the 3 distinct sources needs one lazy reach flood.
   const std::string indexed = NormalizeTimings(RunCli(
       "batch --graph " + graph + " --queries " + queries +
       " --samples 20000 --seed 5 --index --threads " + threads));
@@ -293,8 +292,8 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
             "(20000 samples, shard bank bytes [5008], <t> s)\n"
-            "index: 20000 worlds, 2 label bits, 20032 label bytes, "
-            "20000 worlds relabeled, 3 reach floods\n");
+            "index: 20000 worlds, 0 label bits, 0 label bytes, "
+            "0 worlds relabeled, 3 reach floods\n");
 
   // Per-query fallback: one estimate per distinct pair. R(2, 3) must match
   // the `estimate` golden above exactly — the fallback IS that code path.
@@ -345,24 +344,25 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
             "(20000 samples, shard bank bytes [5008], <t> s)\n"
-            "index: 20000 worlds, 2 label bits, 20032 label bytes, "
-            "20000 worlds relabeled, 3 reach floods\n"
+            "index: 20000 worlds, 0 label bits, 0 label bytes, "
+            "0 worlds relabeled, 3 reach floods\n"
             "index_io: 0 loads, 1 saves, 0 load failures, "
-            "generation 1, 105384 file bytes\n");
+            "generation 1, 5344 file bytes\n");
 
   // `index load` validates the full file (key, layout, checksums) and
   // reports its shape. The byte size pins the on-disk format itself: header
-  // 96 + table + 64-byte-aligned sections (bank 5120, labels 20032,
-  // compaction 80000) + footer.
+  // 96 + table 48, aligned to 192; bank rows 5120 (64-byte aligned); an
+  // empty label section; footer 32 (magic, table checksum, 2 section
+  // checksums): 192 + 5120 + 0 + 32 = 5344.
   const std::string loaded = normalize(RunCli(
       "index load --graph " + graph + " --index-file " + index_file +
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(loaded,
-            "loaded <index>: generation 1, 105384 bytes (20000 worlds, "
-            "2 label bits, 20032 label bytes, 1 shards, <t> s)\n");
+            "loaded <index>: generation 1, 5344 bytes (20000 worlds, "
+            "0 label bits, 0 label bytes, 1 shards, <t> s)\n");
 
-  // Second batch: mmap-load, no sampling, no relabeling — "0 worlds
-  // relabeled" is the load path's signature. Answers identical again.
+  // Second batch: mmap-load, no sampling — "1 loads" is the load path's
+  // signature. Answers identical again.
   const std::string reloaded = normalize(RunCli(
       "batch --graph " + graph + " --queries " + queries +
       " --samples 20000 --seed 5 --index-file " + index_file +
@@ -376,10 +376,10 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
             "(20000 samples, shard bank bytes [5008], <t> s)\n"
-            "index: 20000 worlds, 2 label bits, 20032 label bytes, "
+            "index: 20000 worlds, 0 label bits, 0 label bytes, "
             "0 worlds relabeled, 3 reach floods\n"
             "index_io: 1 loads, 0 saves, 0 load failures, "
-            "generation 1, 105384 file bytes\n");
+            "generation 1, 5344 file bytes\n");
 
   // Explicit `index save` rebuilds and atomically overwrites (generation 1
   // again — a fresh save, not a republish).
@@ -387,8 +387,8 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
       "index save --graph " + graph + " --index-file " + index_file +
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(saved,
-            "saved <index>: generation 1, 105384 bytes (20000 worlds, "
-            "2 label bits, 20032 label bytes, 1 shards, <t> s)\n");
+            "saved <index>: generation 1, 5344 bytes (20000 worlds, "
+            "0 label bits, 0 label bytes, 1 shards, <t> s)\n");
 }
 
 TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {

@@ -337,7 +337,7 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
         << "single-query batch must agree bit-for-bit";
   }
 
-  // (3) Index path: per-world component/SCC labels over the same bank must
+  // (3) Index path: component labels or reach rows over the same bank must
   // reproduce the shared-flood answers bit-for-bit (hence also within 3σ of
   // the oracle), for any thread count and lane kernel.
   for (const bitlane::LaneMode mode :

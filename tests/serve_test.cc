@@ -236,6 +236,35 @@ TEST(ServeServerTest, InvalidQueryIsTypedErrorAndStreamContinues) {
   EXPECT_EQ(line.compare(0, 8, "R(2, 1) "), 0) << line;
 }
 
+// Regression: node ids were cast from unsigned long, so 4294967298 wrapped
+// to node 2 — the query answered R(2, 1) and the update published an epoch
+// that rewrote edge (2, 1). Both must be typed errors that publish nothing.
+TEST(ServeServerTest, NodeIdsPastNodeIdRangeAreInvalidArgument) {
+  ServeOptions options;
+  options.engine.num_samples = 200;
+  options.engine.seed = 5;
+  Server server(Example3(), options);
+  std::istringstream in(
+      "epoch\nquery 4294967298 1\nupdate 4294967298 1 0.5\nepoch\nquit\n");
+  std::ostringstream out;
+  const ServeStats stats = server.Run(in, out);
+  EXPECT_EQ(stats.answered, 0u);
+  EXPECT_EQ(stats.updates, 0u);
+  std::istringstream lines(out.str());
+  std::string before;
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, before));
+  EXPECT_EQ(before.compare(0, 9, "epoch: 0 "), 0) << before;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.compare(0, 20, "ERR InvalidArgument:"), 0) << line;
+  }
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, before);  // same epoch, same version
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "OK bye");
+}
+
 // A client streaming bytes with no newline cannot grow the daemon's memory:
 // the line is answered with one typed error, the reader resynchronizes at
 // the next newline, and the stream carries on with batch-identical answers.

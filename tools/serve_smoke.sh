@@ -85,4 +85,52 @@ if [ "$BEFORE" = "$AFTER" ]; then
 fi
 echo "OK: '$BEFORE' -> '$AFTER' across the epoch publish"
 
+echo "== indexed serve (--index --lanes 2) across writes =="
+# The scripted stream, then each write followed by the same queries. Every
+# query answers on the epoch current when it arrived, so the rows must equal
+# `batch --index` on the original, updated and extended edge lists in turn.
+# Edge ids follow file order and `addedge` appends, so the files list the
+# edges in the daemon's id order.
+cat > "$WORK/graph_updated.txt" <<'EOF'
+# relmax-graph v1
+directed 4
+2 1 0.9
+2 3 0.9
+EOF
+cat > "$WORK/graph_extended.txt" <<'EOF'
+# relmax-graph v1
+directed 4
+2 1 0.9
+2 3 0.9
+0 2 0.5
+EOF
+{
+  echo "# indexed serve-smoke stream"
+  while read -r s t; do echo "query $s $t"; done < "$WORK/queries.txt"
+  echo "update 2 3 0.9"
+  while read -r s t; do echo "query $s $t"; done < "$WORK/queries.txt"
+  echo "addedge 0 2 0.5"
+  while read -r s t; do echo "query $s $t"; done < "$WORK/queries.txt"
+  echo "stats"
+  echo "quit"
+} > "$WORK/indexed_stream.txt"
+"$CLI" serve --graph "$WORK/graph.txt" --samples $SAMPLES --seed $SEED \
+  --index --lanes 2 < "$WORK/indexed_stream.txt" | tee "$WORK/indexed.out"
+for g in graph graph_updated graph_extended; do
+  "$CLI" batch --graph "$WORK/$g.txt" --queries "$WORK/queries.txt" \
+    --samples $SAMPLES --seed $SEED --index > "$WORK/$g.index.out"
+  cat "$WORK/$g.index.out" >&2
+  grep '^R(' "$WORK/$g.index.out"
+done > "$WORK/indexed_batch.rows"
+grep '^R(' "$WORK/indexed.out" > "$WORK/indexed_serve.rows"
+if ! diff -u "$WORK/indexed_batch.rows" "$WORK/indexed_serve.rows"; then
+  echo "FAIL: indexed serve answers differ from batch --index answers" >&2
+  exit 1
+fi
+grep -q '^OK epoch=2' "$WORK/indexed.out" || {
+  echo "FAIL: the two writes did not publish epoch 2" >&2; exit 1; }
+grep -q '^OK bye$' "$WORK/indexed.out" || {
+  echo "FAIL: indexed stream did not end with a clean OK bye" >&2; exit 1; }
+echo "OK: indexed serve rows identical to batch --index rows across 2 writes"
+
 echo "serve-smoke: PASS"
