@@ -169,6 +169,35 @@ void BM_WorldBankFill(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldBankFill)->Arg(500)->Arg(2000);
 
+// Bank derive: the next bank after one write, from the previous one — the
+// per-write bank cost of incremental maintenance. Second arg: 0 updates one
+// edge's probability, 1 appends one edge at p = 0.5. One iteration copies
+// every unchanged row, redraws the written row and returns the
+// changed-world mask.
+void BM_WorldBankDerive(benchmark::State& state) {
+  const int z = static_cast<int>(state.range(0));
+  const WorldBank::Options options{.num_samples = z, .seed = 31};
+  const UncertainGraph& before = TestGraph().graph;
+  const WorldBank prev(before, options);
+  UncertainGraph after = before;
+  if (state.range(1) == 0) {
+    const Edge edge = after.EdgeById(0);
+    RELMAX_CHECK(after.UpdateEdgeProb(edge.src, edge.dst, edge.prob / 2).ok());
+  } else {
+    NodeId v = 1;
+    while (after.HasEdge(0, v)) ++v;
+    RELMAX_CHECK(after.AddEdge(0, v, 0.5).ok());
+  }
+  std::vector<uint64_t> changed_worlds;
+  for (auto _ : state) {
+    WorldBank derived(prev, after, options, &changed_worlds);
+    benchmark::DoNotOptimize(changed_worlds.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * z);
+}
+BENCHMARK(BM_WorldBankDerive)->ArgsProduct({{500, 2000}, {0, 1}});
+
 void BM_WorldEnsembleBuild(benchmark::State& state) {
   const auto [s, t] = TestQuery();
   const int z = static_cast<int>(state.range(0));

@@ -518,7 +518,7 @@ StatusOr<LoadedIndex> LoadIndex(
   // never writes its up-matrix after construction, so any accidental write
   // faults loudly instead of corrupting the file.
   out.bank = std::make_unique<WorldBank>(
-      g, num_worlds,
+      g, num_worlds, world_options.seed,
       bitlane::BitMatrix::External(const_cast<uint64_t*>(rows), num_rows,
                                    world_words));
 

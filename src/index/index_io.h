@@ -77,9 +77,10 @@ static_assert(sizeof(IndexFileHeader) == 96, "on-disk header layout");
 inline constexpr uint64_t kIndexMagic = 0x3158444958494d52;   // "RMIXIDX1"
 inline constexpr uint64_t kIndexFooterMagic =
     0x31444e4558494d52;                                       // "RMIXEND1"
-/// Files of any other version (v1 had a third section) fail to load, and
-/// the engine rebuilds.
-inline constexpr uint32_t kIndexFormatVersion = 2;
+/// Files of any other version fail to load, and the engine rebuilds: v1 had
+/// a third section, and v2 bank rows came from the per-word draw stream that
+/// keyed world draws (WorldBank::WordSeed) replaced.
+inline constexpr uint32_t kIndexFormatVersion = 3;
 inline constexpr uint32_t kIndexEndianTag = 0x01020304;
 inline constexpr uint32_t kIndexFlagDirected = 1u << 0;
 

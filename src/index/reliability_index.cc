@@ -236,37 +236,6 @@ double ReliabilityIndex::Query(NodeId s, NodeId t) const {
          num_worlds_;
 }
 
-std::vector<uint64_t> ReliabilityIndex::DiffWorlds(const WorldBank& old_bank,
-                                                   const WorldBank& fresh) {
-  RELMAX_CHECK(old_bank.num_worlds() == fresh.num_worlds());
-  const size_t world_words = fresh.world_words();
-  std::vector<uint64_t> mask(world_words, 0);
-  // The banks' own row counts, not universe().num_edges(): the old bank's
-  // graph has typically been mutated since that bank was sampled.
-  const size_t old_edges = old_bank.num_edges();
-  const size_t new_edges = fresh.num_edges();
-  const size_t common = std::min(old_edges, new_edges);
-  for (size_t e = 0; e < common; ++e) {
-    const std::span<const uint64_t> before =
-        old_bank.EdgeUpWorlds(static_cast<EdgeId>(e));
-    const std::span<const uint64_t> after =
-        fresh.EdgeUpWorlds(static_cast<EdgeId>(e));
-    for (size_t w = 0; w < world_words; ++w) mask[w] |= before[w] ^ after[w];
-  }
-  // Edges present in only one bank affect every world they are up in.
-  for (size_t e = common; e < new_edges; ++e) {
-    const std::span<const uint64_t> up =
-        fresh.EdgeUpWorlds(static_cast<EdgeId>(e));
-    for (size_t w = 0; w < world_words; ++w) mask[w] |= up[w];
-  }
-  for (size_t e = common; e < old_edges; ++e) {
-    const std::span<const uint64_t> up =
-        old_bank.EdgeUpWorlds(static_cast<EdgeId>(e));
-    for (size_t w = 0; w < world_words; ++w) mask[w] |= up[w];
-  }
-  return mask;
-}
-
 void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
                                        const std::vector<uint64_t>& affected) {
   RELMAX_CHECK(fresh.num_worlds() == num_worlds_);

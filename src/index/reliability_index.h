@@ -45,15 +45,18 @@ namespace relmax {
 /// bank, bit for bit — components and floods are exact per world, so the
 /// connected-worlds bitsets are identical, not just statistically close.
 ///
-/// **Incremental maintenance:** after a graph mutation the owner rebuilds the
-/// bank (bank bits are a pure function of (probs, Z, seed), so the rebuilt
-/// bank is bit-identical to a fresh engine's) and calls ApplyBankUpdate with
-/// the affected-world mask from DiffWorlds — the XOR of old and new edge
-/// rows. Only the affected worlds' label columns are recomputed; unaffected
-/// worlds keep their labels untouched. A single-edge probability nudge
-/// typically flips a small fraction of worlds, so relabeling — the expensive
-/// part — scales with the size of the change, not with Z. A directed index
-/// only swaps the bank and drops its reach cache.
+/// **Incremental maintenance:** after a graph mutation the owner derives
+/// the next bank from the old one (bank bits are a pure function of (seed,
+/// edge, world, p_e), so the derived bank is bit-identical to a fresh
+/// engine's) and calls ApplyBankUpdate with the changed-world mask the
+/// derive returns — the XOR of old and new redrawn rows plus the up worlds
+/// of appended rows. Only the affected worlds' label columns are recomputed;
+/// unaffected worlds keep their labels untouched. A single-edge probability
+/// nudge flips only the worlds whose uniform lies between the old and new
+/// thresholds, and an appended edge touches only the worlds it is up in, so
+/// relabeling — the expensive part — scales with the size of the change,
+/// not with Z. A directed index only swaps the bank and drops its reach
+/// cache.
 ///
 /// Determinism: labels are filled by the counter-seeded sharded executor
 /// (shard i owns bit-word i of every plane), and per-world labeling is
@@ -144,18 +147,12 @@ class ReliabilityIndex {
   /// against `fresh`, keeping every other world's labels. `fresh` must have
   /// the same num_worlds and universe num_nodes as the indexed bank (edges
   /// may have been appended) and replaces it as the index's bank; the
-  /// directed reach cache is dropped. Pass DiffWorlds(old, fresh) to get the
-  /// exact mask. A directed index holds no labels, so it ignores the mask
-  /// and relabels nothing.
+  /// directed reach cache is dropped. Pass the changed-world mask of the
+  /// WorldBank derive constructor that made `fresh` from the indexed bank.
+  /// A directed index holds no labels, so it ignores the mask and relabels
+  /// nothing.
   void ApplyBankUpdate(const WorldBank& fresh,
                        const std::vector<uint64_t>& affected);
-
-  /// Worlds whose edge presence differs between the banks: XOR of the up
-  /// rows of every common edge, plus the up row of every edge only in
-  /// `fresh` (appended after the old bank was sampled). Banks must have the
-  /// same num_worlds.
-  static std::vector<uint64_t> DiffWorlds(const WorldBank& old_bank,
-                                          const WorldBank& fresh);
 
   int num_worlds() const { return num_worlds_; }
   /// Bitplanes per node (ceil(log2 num_nodes); 0 for a 1-node or a

@@ -70,14 +70,11 @@ void QueryEngine::Advance(const WorldBank* old_bank,
   if (old_bank == nullptr || !UseSharedWorlds()) return;
   WorldBank::Options fill = WorldOptions();
   fill.num_threads = num_workers;
-  auto fresh = std::make_shared<const WorldBank>(graph_, fill);
+  std::vector<uint64_t> changed_worlds;
+  auto fresh = std::make_shared<const WorldBank>(*old_bank, graph_, fill,
+                                                 &changed_worlds);
   if (index != nullptr && UseIndex() && GraphExtendsIndexedShape()) {
-    // An index with no label planes (directed) has no worlds to relabel, so
-    // it skips the whole-bank diff.
-    index->ApplyBankUpdate(
-        *fresh, index->label_bytes() == 0
-                    ? std::vector<uint64_t>(fresh->world_words(), 0)
-                    : ReliabilityIndex::DiffWorlds(*old_bank, *fresh));
+    index->ApplyBankUpdate(*fresh, changed_worlds);
   } else {
     index.reset();
   }
@@ -235,11 +232,18 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
     const int num_worlds = bank.num_worlds();
     ForEachShard(
         sources.size(), options_.num_threads,
-        [] { return std::make_unique<bitlane::BitMatrix>(); },
-        [&](std::unique_ptr<bitlane::BitMatrix>& reach, size_t i) {
+        [] {
+          // One flood scratch per thread, kept across batches: an n x Z
+          // matrix allocated and freed per batch strands freed matrices in
+          // the lanes' malloc arenas, so peak RSS followed allocation order
+          // instead of the flood's footprint.
+          thread_local bitlane::BitMatrix reach;
+          return &reach;
+        },
+        [&](bitlane::BitMatrix* reach, size_t i) {
           // The fixpoint wipes the reused scratch itself (kClearScratch).
           bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
-                                    all_edges, reach.get());
+                                    all_edges, reach);
           for (size_t idx : pairs_of_source[i]) {
             values[idx] = static_cast<double>(WorldBank::CountBits(
                               reach->row_span(pairs[idx].t),
@@ -247,7 +251,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
                           num_worlds;
           }
         },
-        [](std::unique_ptr<bitlane::BitMatrix>&) {});
+        [](bitlane::BitMatrix*) {});
     for (size_t i = 0; i < pairs.size(); ++i) {
       (*resolved)[PairKey(pairs[i].s, pairs[i].t)] = values[i];
     }

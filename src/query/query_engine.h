@@ -167,9 +167,9 @@ struct BatchResult {
 /// Answers are memoized: a pair asked again while the graph's version() is
 /// unchanged is free. Any mutation (AddEdge/UpdateEdgeProb/assignment)
 /// invalidates the cache on the next Answer(); a live index additionally
-/// attempts incremental maintenance — resample the bank, relabel only the
-/// worlds whose sampled edge presence actually changed — before falling back
-/// to a wholesale rebuild.
+/// attempts incremental maintenance — derive the bank, redrawing only the
+/// changed edge rows, and relabel only the worlds whose sampled edge
+/// presence actually changed — before falling back to a wholesale rebuild.
 ///
 /// Answer() is safe to call from many threads while the graph is not being
 /// mutated: one mutex guards the lazy bank / index build and file load,
@@ -217,12 +217,13 @@ class QueryEngine {
   void SyncWithGraph();
 
   // Incremental maintenance behind SyncWithGraph and the successor
-  // constructor. Resamples `old_bank` for graph_ with `num_workers` lanes —
-  // bit-identical to a fresh engine's, bank bits being a pure function of
-  // (probs, Z, seed). When graph_ extends the indexed shape (same nodes,
-  // same existing-edge endpoints), `index` relabels only the worlds whose
-  // edge presence changed (none for a directed index, which holds no labels)
-  // and is republished; otherwise it drops. With no old bank, both stay lazy.
+  // constructor. Derives graph_'s bank from `old_bank` with `num_workers`
+  // lanes, redrawing only updated and appended rows — bit-identical to a
+  // fresh engine's, bank bits being a pure function of (seed, edge, world,
+  // p_e). When graph_ extends the indexed shape (same nodes, same
+  // existing-edge endpoints), `index` relabels only the worlds the derive
+  // reports changed (none for a directed index, which holds no labels) and
+  // is republished; otherwise it drops. With no old bank, both stay lazy.
   void Advance(const WorldBank* old_bank,
                std::unique_ptr<ReliabilityIndex> index, int num_workers);
 
@@ -278,7 +279,7 @@ class QueryEngine {
   // Declared before bank_/index_ so it is destroyed after them: a loaded
   // bank's bit rows point into this read-only mapping (zero copy).
   MappedFile index_mapping_;
-  // Shared so a successor can diff against it while this engine answers.
+  // Shared so a successor can derive from it while this engine answers.
   std::shared_ptr<const WorldBank> bank_;
   std::unique_ptr<ReliabilityIndex> index_;
   // Graph shape the bank was sampled against: node count plus the endpoints

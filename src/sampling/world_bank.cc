@@ -1,9 +1,10 @@
 #include "sampling/world_bank.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -12,101 +13,143 @@
 namespace relmax {
 namespace {
 
-// Same integer-threshold encoding as the MC kernel (sampling/reliability.cc):
-// ceil(p * 2^53) <= 2^53 for p < 1, so anything above 2^53 marks "up without
-// drawing" (p >= 1); 0 marks "down without drawing" (p <= 0). For p in (0,1),
-// `(Next() >> 11) < threshold` is exactly `NextDouble() < p` and consumes the
-// same single draw, so the bank's bits stay bit-identical to the
-// NextBernoulli fill it replaces.
 constexpr uint64_t kP53 = uint64_t{1} << 53;
-constexpr uint64_t kAlwaysUp = kP53 + 1;
 
-// The canonical bank fill: samples `num_samples` worlds over `universe`'s
-// edges with the counter-seeded sharded executor and writes each shard's
-// 64-world word of every edge row straight into `up` (row e = edge e's world
-// bitset). Every stored bit is a pure function of (edge probs, num_samples,
-// seed), independent of threads.
-void FillBankColumns(const UncertainGraph& universe, int num_samples,
-                     uint64_t seed, int num_threads, bitlane::BitMatrix* up) {
-  RELMAX_CHECK(num_samples > 0);
-  // Shard i covers worlds [i * kShardSamples, …): with kShardSamples == 64
-  // that is exactly bit-word i of every edge row, so shards never write the
-  // same word and the fill is race-free without atomics.
-  static_assert(kShardSamples == 64,
-                "the word-per-shard bank fill requires 64-world shards");
-  const size_t num_edges = universe.num_edges();
-  RELMAX_CHECK(up->rows() == num_edges);
-  // Flat structure-of-arrays probability vector, pre-folded into integer
-  // thresholds so the inner loop compares a raw draw against a constant
-  // instead of branching on a double inside NextBernoulli.
-  const double* const probs = universe.EdgeProbs().data();
-  std::vector<uint64_t> thresholds(num_edges);
-  for (size_t e = 0; e < num_edges; ++e) {
-    const double p = probs[e];
-    thresholds[e] = p <= 0.0   ? 0
-                    : p >= 1.0 ? kAlwaysUp
-                               : static_cast<uint64_t>(std::ceil(p * 0x1p53));
-  }
-  const uint64_t* const thr = thresholds.data();
-  const std::vector<SampleShard> shards = MakeSampleShards(num_samples, seed);
-  struct FillContext {
-    Rng rng{0};
-    // One word per edge: the shard's 64 worlds for that edge, accumulated
-    // contiguously and scattered into the rows once per shard instead of
-    // once per draw.
-    std::vector<uint64_t> col;
-  };
-  ForEachShard(
-      shards.size(), num_threads,
-      [num_edges] {
-        auto context = std::make_unique<FillContext>();
-        context->col.resize(num_edges);
-        return context;
-      },
-      [&](std::unique_ptr<FillContext>& context, size_t i) {
-        context->rng.Reseed(shards[i].seed);
-        Rng& rng = context->rng;
-        uint64_t* const col = context->col.data();
-        std::fill_n(col, num_edges, uint64_t{0});
-        for (int sample = 0; sample < shards[i].num_samples; ++sample) {
-          const uint64_t bit = uint64_t{1} << sample;
-          for (size_t e = 0; e < num_edges; ++e) {
-            const uint64_t t = thr[e];
-            // The two degenerate categories take no draw (NextBernoulli's
-            // contract) and branch perfectly predictably — the threshold
-            // pattern repeats identically every sample. The live category is
-            // branch-free on the draw, which is the bit that used to
-            // mispredict ~min(p, 1-p) of the time.
-            if (t == 0) continue;
-            if (t > kP53) {
-              col[e] |= bit;
-              continue;
-            }
-            col[e] |= ((rng.Next() >> 11) < t) ? bit : 0;
-          }
-        }
-        const size_t word = static_cast<size_t>(shards[i].index);
-        for (size_t e = 0; e < num_edges; ++e) up->row(e)[word] = col[e];
-      },
-      [](std::unique_ptr<FillContext>&) {});
+// Rows per fill shard; a shard covers those rows' words in one lane block,
+// so shards write disjoint cache lines.
+constexpr size_t kFillRows = 64;
+
+// The live worlds of a bitset's last word: bits past num_worlds are clear.
+uint64_t TailMask(int num_worlds) {
+  return (num_worlds & 63) ? (uint64_t{1} << (num_worlds & 63)) - 1
+                           : ~uint64_t{0};
 }
 
 }  // namespace
+
+uint64_t WorldBank::Threshold(double p) {
+  return p <= 0.0   ? 0
+         : p >= 1.0 ? kP53
+                    : static_cast<uint64_t>(std::ceil(p * 0x1p53));
+}
+
+std::vector<uint64_t> WorldBank::RowThresholds(const UncertainGraph& g) {
+  std::vector<uint64_t> thresholds;
+  thresholds.reserve(g.num_edges());
+  for (double p : g.EdgeProbs()) thresholds.push_back(Threshold(p));
+  return thresholds;
+}
+
+uint64_t WorldBank::WordSeed(uint64_t seed, EdgeId e, size_t word) {
+  return ShardSeed(ShardSeed(seed, e), word);
+}
+
+uint64_t WorldBank::DrawWord(uint64_t word_seed, uint64_t threshold) {
+  if (threshold == 0) return 0;
+  if (threshold >= kP53) return ~uint64_t{0};
+  Rng rng(word_seed);
+  uint64_t up = 0;
+  uint64_t undecided = ~uint64_t{0};
+  // Bit k of every world's U is one draw; a world leaves `undecided` at the
+  // first bit where its U differs from the threshold's. Once the
+  // threshold's bits k..0 are all zero, an undecided world's U (equal so
+  // far, >= 0 below) is >= threshold: down, with no further draw.
+  for (int k = 52; k >= 0 && undecided != 0; --k) {
+    if ((threshold & ((uint64_t{2} << k) - 1)) == 0) break;
+    const uint64_t r = rng.Next();
+    if ((threshold >> k) & 1) {
+      up |= undecided & ~r;
+      undecided &= r;
+    } else {
+      undecided &= ~r;
+    }
+  }
+  return up;
+}
+
+void WorldBank::DrawRows(const std::vector<EdgeId>& rows, int num_threads) {
+  const size_t blocks = up_.blocks_per_row();
+  const size_t num_shards = (rows.size() + kFillRows - 1) / kFillRows * blocks;
+  const uint64_t tail = TailMask(num_worlds_);
+  // Each (row range, lane block) shard writes only its own cells, and every
+  // cell is a pure function of (seed, row, word, threshold): race-free and
+  // bit-identical for any num_threads.
+  ForEachShard(
+      num_shards, num_threads, [] { return 0; },
+      [&](int, size_t i) {
+        const size_t first = i / blocks * kFillRows;
+        const size_t last = std::min(first + kFillRows, rows.size());
+        const size_t word_begin = i % blocks * bitlane::kLaneWords;
+        const size_t word_end =
+            std::min(word_begin + bitlane::kLaneWords, world_words_);
+        for (size_t r = first; r < last; ++r) {
+          const EdgeId e = rows[r];
+          uint64_t* const row = up_.row(e);
+          for (size_t w = word_begin; w < word_end; ++w) {
+            row[w] = DrawWord(WordSeed(seed_, e, w), thresholds_[e]);
+          }
+          if (word_end == world_words_) row[world_words_ - 1] &= tail;
+        }
+      },
+      [](int) {});
+}
 
 WorldBank::WorldBank(const UncertainGraph& universe, const Options& options)
     : universe_(universe),
       num_worlds_(options.num_samples),
       world_words_((static_cast<size_t>(options.num_samples) + 63) / 64),
+      seed_(options.seed),
+      thresholds_(RowThresholds(universe)),
       up_(universe.num_edges(), world_words_) {
-  FillBankColumns(universe, options.num_samples, options.seed,
-                  options.num_threads, &up_);
+  RELMAX_CHECK(options.num_samples > 0);
+  DrawRows(AllEdges(), options.num_threads);
+}
+
+WorldBank::WorldBank(const WorldBank& prev, const UncertainGraph& universe,
+                     const Options& options,
+                     std::vector<uint64_t>* changed_worlds)
+    : universe_(universe),
+      num_worlds_(options.num_samples),
+      world_words_(prev.world_words_),
+      seed_(options.seed),
+      thresholds_(RowThresholds(universe)),
+      up_(universe.num_edges(), world_words_) {
+  RELMAX_CHECK(options.num_samples == prev.num_worlds_);
+  RELMAX_CHECK(options.seed == prev.seed_);
+  const size_t num_edges = universe.num_edges();
+  const size_t kept = std::min(num_edges, prev.num_edges());
+  std::vector<EdgeId> redraw;
+  for (size_t e = 0; e < num_edges; ++e) {
+    if (e < kept && thresholds_[e] == prev.thresholds_[e]) {
+      std::copy_n(prev.up_.row(e), world_words_, up_.row(e));
+    } else {
+      redraw.push_back(static_cast<EdgeId>(e));
+    }
+  }
+  DrawRows(redraw, options.num_threads);
+  std::vector<uint64_t>& mask = *changed_worlds;
+  mask.assign(world_words_, 0);
+  for (EdgeId e : redraw) {
+    const uint64_t* const after = up_.row(e);
+    const uint64_t* const before = e < kept ? prev.up_.row(e) : nullptr;
+    for (size_t w = 0; w < world_words_; ++w) {
+      mask[w] |= before != nullptr ? before[w] ^ after[w] : after[w];
+    }
+  }
+  // Rows the universe no longer has leave every world they were up in.
+  for (size_t e = kept; e < prev.num_edges(); ++e) {
+    const uint64_t* const gone = prev.up_.row(e);
+    for (size_t w = 0; w < world_words_; ++w) mask[w] |= gone[w];
+  }
 }
 
 WorldBank::WorldBank(const UncertainGraph& universe, int num_worlds,
-                     bitlane::BitMatrix up)
+                     uint64_t seed, bitlane::BitMatrix up)
     : universe_(universe),
       num_worlds_(num_worlds),
       world_words_((static_cast<size_t>(num_worlds) + 63) / 64),
+      seed_(seed),
+      thresholds_(RowThresholds(universe)),
       up_(std::move(up)) {
   RELMAX_CHECK(num_worlds > 0);
   RELMAX_CHECK(up_.rows() == universe.num_edges());

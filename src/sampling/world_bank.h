@@ -33,12 +33,18 @@ namespace relmax {
 /// pass and only re-propagates those, instead of re-sweeping every word of
 /// every row until quiescence.
 ///
-/// Determinism: the matrix is filled by the counter-seeded sharded executor
-/// (sampling/parallel.h). Shard `i` owns worlds [i * kShardSamples, …) —
-/// exactly bit-word `i` of every edge row, since kShardSamples == 64 — and
-/// draws them from the stream seeded by ShardSeed(seed, i), so every bit is
-/// a pure function of (num_samples, seed): **bit-identical for any
-/// num_threads**. Fixpoint answers are additionally invariant to the lane
+/// Determinism: every bank bit is a pure function of (seed, edge id, world,
+/// p_e). Bit-word w of edge e's row is drawn from its own stream, seeded by
+/// WordSeed(seed, e, w) = ShardSeed(ShardSeed(seed, e), w), through an exact
+/// bit-sliced compare of 64 per-world 53-bit uniforms U against the edge's
+/// threshold t = Threshold(p_e): world j is up iff U_j < t (DrawWord). U
+/// does not depend on t, so changing p_e flips only the worlds whose U lies
+/// between the old and new thresholds and touches no other row; p <= 0 and
+/// p >= 1 take no draw and shift nothing. The fill fans out over (edge
+/// range, lane block) shards, each writing its own cells, so the bits are
+/// **bit-identical for any num_threads**, and a bank derived from its
+/// predecessor after a graph change (the derive constructor) equals a fresh
+/// fill bit for bit. Fixpoint answers are additionally invariant to the lane
 /// kernel (scalar vs blocked/SIMD): the fixpoint of the monotone word
 /// algebra is unique, so block scheduling cannot change the converged bits.
 /// The bank is immutable after construction and safe to read from multiple
@@ -69,15 +75,47 @@ class WorldBank {
   /// universe graph must outlive the bank.
   WorldBank(const UncertainGraph& universe, const Options& options);
 
+  /// The bank a fresh fill over `universe` would sample, derived from `prev`
+  /// (an earlier bank with the same Z and seed) instead of refilled: rows
+  /// whose threshold is unchanged are copied, updated and appended rows are
+  /// redrawn, and rows past universe's edge count are dropped.
+  /// `*changed_worlds` receives the world-indexed bitset of worlds whose
+  /// rows differ from prev's: old XOR new of every redrawn row, plus the up
+  /// worlds of every appended or dropped row. Rows are matched by edge id,
+  /// so the mask names the worlds whose edge set changed when rows below
+  /// prev.num_edges() are the same edges, as after UncertainGraph's
+  /// UpdateEdgeProb and AddEdge.
+  WorldBank(const WorldBank& prev, const UncertainGraph& universe,
+            const Options& options, std::vector<uint64_t>* changed_worlds);
+
   /// Adopts pre-filled rows instead of sampling — the deserialization path
   /// (index/index_io.h), where `up` wraps an mmap-ed file section. `up` must
   /// hold universe.num_edges() rows of ceil(num_worlds / 64) logical words
-  /// in the canonical draw-stream layout (row e = edge e's world bitset,
-  /// tail and pad bits zero). The bank never writes the matrix after
-  /// construction, so a read-only external matrix is safe; whoever owns the
-  /// underlying buffer must keep it alive for the bank's lifetime.
-  WorldBank(const UncertainGraph& universe, int num_worlds,
+  /// as a fill with `seed` draws them (row e = edge e's world bitset, tail
+  /// and pad bits zero); the per-row thresholds a later derive compares
+  /// against are recomputed from universe's probabilities. The bank never
+  /// writes the matrix after construction, so a read-only external matrix
+  /// is safe; whoever owns the underlying buffer must keep it alive for the
+  /// bank's lifetime.
+  WorldBank(const UncertainGraph& universe, int num_worlds, uint64_t seed,
             bitlane::BitMatrix up);
+
+  /// The 53-bit integer threshold a world's uniform is compared against:
+  /// 0 for p <= 0, 2^53 for p >= 1, ceil(p * 2^53) otherwise, so
+  /// P[U < t] = t / 2^53 is p rounded up to the 53-bit grid.
+  static uint64_t Threshold(double p);
+
+  /// Seed of the stream that draws bit-word `word` of edge `e`'s row.
+  static uint64_t WordSeed(uint64_t seed, EdgeId e, size_t word);
+
+  /// One 64-world word, exactly: bit j is [U_j < threshold], where U_j is
+  /// the 53-bit uniform whose bit k (k = 52 down to 0) is bit j of the
+  /// (53 - k)-th draw of Rng(word_seed). The compare is bit-sliced: it
+  /// walks the threshold from its top bit, one draw per bit position,
+  /// settling every still-undecided world against that bit, and stops once
+  /// no world is undecided or the threshold's remaining bits are zero —
+  /// about 7 draws per word. threshold 0 and >= 2^53 take no draw.
+  static uint64_t DrawWord(uint64_t word_seed, uint64_t threshold);
 
   int num_worlds() const { return num_worlds_; }
   const UncertainGraph& universe() const { return universe_; }
@@ -144,9 +182,20 @@ class WorldBank {
   const UncertainGraph& universe_;
   int num_worlds_;
   size_t world_words_;
+  uint64_t seed_;
+  /// Threshold(p_e) of every row as drawn, so a derived bank can tell which
+  /// rows an update changed even when the universe was mutated in place.
+  std::vector<uint64_t> thresholds_;
   /// Row e = world bitset for edge e (bits beyond num_worlds stay zero,
   /// including the lane-block padding words — the fixpoint relies on it).
   bitlane::BitMatrix up_;
+
+  // Threshold(p_e) of every edge of `g`, by edge id.
+  static std::vector<uint64_t> RowThresholds(const UncertainGraph& g);
+
+  // Draws the listed rows of up_ from their thresholds_, fanning out over
+  // (row range, lane block) shards on `num_threads` lanes.
+  void DrawRows(const std::vector<EdgeId>& rows, int num_threads);
 };
 
 /// Telemetry for the shared-world fast path. Consumers that want a WorldBank

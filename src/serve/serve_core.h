@@ -79,10 +79,11 @@ struct ServeStats {
 /// batch on its snapshot's shared engine — one flood per distinct source.
 ///
 /// Writers: UpdateEdgeProb()/AddEdge() copy the current graph, apply the
-/// mutation, derive the next engine from the current one (resample the
-/// bank, relabel only changed worlds) and publish it as epoch N+1. Queries
-/// pinned to epoch N keep answering on N's snapshot, so a republish never
-/// blocks reads; epoch N is freed when its last pending query is answered.
+/// mutation, derive the next engine from the current one (redraw the bank's
+/// changed rows, relabel only changed worlds) and publish it as epoch N+1.
+/// Queries pinned to epoch N keep answering on N's snapshot, so a republish
+/// never blocks reads; epoch N is freed when its last pending query is
+/// answered.
 ///
 /// Every callback fires exactly once, from the submitting thread (shed /
 /// rejected) or from a lane thread (answered / engine error).

@@ -6,7 +6,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <iostream>
+#include <istream>
+#include <ostream>
 #include <utility>
 
 #include "graph/graph_io.h"
@@ -126,9 +127,11 @@ bool Server::RunStream(std::istream& in, std::ostream& out) {
 
 namespace {
 
-/// A std::streambuf over a connected socket fd, bidirectional, so one
-/// std::iostream serves the whole connection. Unbuffered-ish: sync() after
-/// each response line keeps latency flat.
+/// A std::streambuf over a connected socket fd, bidirectional: one
+/// std::istream and one std::ostream over it serve the whole connection,
+/// each with its own stream state, so the client half-closing its side (EOF
+/// on input) leaves the response stream writable. Unbuffered-ish: sync()
+/// after each response line keeps latency flat.
 class FdStreambuf : public std::streambuf {
  public:
   explicit FdStreambuf(int fd) : fd_(fd) {
@@ -233,9 +236,10 @@ Status Server::ServePort(uint16_t port,
       return status;
     }
     FdStreambuf buf(conn_fd);
-    std::iostream stream(&buf);
-    keep_listening = RunStream(stream, stream);
-    stream.flush();
+    std::istream in(&buf);
+    std::ostream out(&buf);
+    keep_listening = RunStream(in, out);
+    out.flush();
     ::close(conn_fd);
   }
   ::close(listen_fd);

@@ -379,6 +379,24 @@ TEST_P(IndexIoCorruptionTest, ShardedLayoutHeaderIsFailedPrecondition) {
   ExpectEngineRebuildFallback();
 }
 
+TEST_P(IndexIoCorruptionTest, KeyedDrawPredecessorVersionIsFailedPrecondition) {
+  // Version 2 files hold bank rows from the per-word draw stream that keyed
+  // world draws replaced: adopting them would serve worlds a fresh engine
+  // never draws. They fail typed, and the engine rebuilds to the answer a
+  // fresh engine gives.
+  std::vector<unsigned char> bytes = pristine_;
+  const uint32_t v2 = 2;
+  std::memcpy(bytes.data() + offsetof(IndexFileHeader, format_version), &v2,
+              sizeof(v2));
+  WriteFileBytes(path_, bytes);
+  std::string message;
+  EXPECT_EQ(LoadCode(&message), StatusCode::kFailedPrecondition);
+  EXPECT_NE(message.find("version 2"), std::string::npos) << message;
+  EXPECT_EQ(InspectIndexFile(path_).status().code(),
+            StatusCode::kFailedPrecondition);
+  ExpectEngineRebuildFallback();
+}
+
 INSTANTIATE_TEST_SUITE_P(Directedness, IndexIoCorruptionTest,
                          ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {

@@ -5,6 +5,7 @@
 // cache must evict without changing answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -38,6 +39,21 @@ std::vector<uint64_t> FloodRow(const WorldBank& bank, NodeId s, NodeId t) {
   bank.ReachabilityFixpoint(s, /*backward=*/false, bank.AllEdges(), &reach);
   const std::span<const uint64_t> row = reach.row_span(t);
   return std::vector<uint64_t>(row.begin(), row.end());
+}
+
+// Worlds whose edge set differs between the banks, by brute force: the XOR
+// of every row both banks hold, plus every row only one of them holds.
+std::vector<uint64_t> XorAllRows(const WorldBank& a, const WorldBank& b) {
+  std::vector<uint64_t> mask(a.world_words(), 0);
+  for (size_t e = 0; e < std::max(a.num_edges(), b.num_edges()); ++e) {
+    for (size_t w = 0; w < mask.size(); ++w) {
+      const EdgeId id = static_cast<EdgeId>(e);
+      const uint64_t in_a = e < a.num_edges() ? a.EdgeUpWorlds(id)[w] : 0;
+      const uint64_t in_b = e < b.num_edges() ? b.EdgeUpWorlds(id)[w] : 0;
+      mask[w] |= in_a ^ in_b;
+    }
+  }
+  return mask;
 }
 
 TEST(ReliabilityIndexTest, ConnectedWorldsMatchFloodBitwise) {
@@ -96,15 +112,15 @@ TEST(ReliabilityIndexTest, StronglyConnectedWorldFloodsOncePerSource) {
   EXPECT_EQ(index.stats().reach_floods, 3u);
 }
 
-TEST(ReliabilityIndexTest, DiffWorldsFindsExactlyTheChangedWorlds) {
+TEST(ReliabilityIndexTest, DeriveMaskFindsExactlyTheChangedWorlds) {
   UncertainGraph g = RandomGraph(109, 8, 0.4, false);
   const WorldBank before(g, {.num_samples = 200, .seed = 21});
   const Edge edge = g.EdgesById()[1];
   ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.5).ok());
-  const WorldBank after(g, {.num_samples = 200, .seed = 21});
+  std::vector<uint64_t> mask;
+  const WorldBank after(before, g, {.num_samples = 200, .seed = 21}, &mask);
 
-  const std::vector<uint64_t> mask =
-      ReliabilityIndex::DiffWorlds(before, after);
+  EXPECT_EQ(mask, XorAllRows(before, after));
   for (int w = 0; w < 200; ++w) {
     bool differs = false;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -112,11 +128,18 @@ TEST(ReliabilityIndexTest, DiffWorldsFindsExactlyTheChangedWorlds) {
     }
     EXPECT_EQ(((mask[w >> 6] >> (w & 63)) & 1) != 0, differs) << "w = " << w;
   }
-  // Interior probabilities consume one draw regardless of their value, so
-  // only the updated edge's row can differ — some but not all worlds flip.
+  // Only the updated edge's row is redrawn, and halving p keeps exactly the
+  // worlds whose uniform is below the new threshold: some but not all worlds
+  // flip, and every flipped world lost the edge.
   const int64_t affected = WorldBank::CountBits(mask, 200);
   EXPECT_GT(affected, 0);
   EXPECT_LT(affected, 200);
+  for (int w = 0; w < 200; ++w) {
+    if ((mask[w >> 6] >> (w & 63)) & 1) {
+      EXPECT_TRUE(before.EdgePresent(w, 1) && !after.EdgePresent(w, 1))
+          << "w = " << w;
+    }
+  }
 }
 
 TEST(ReliabilityIndexTest, ApplyBankUpdateEqualsFullRebuild) {
@@ -127,9 +150,9 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateEqualsFullRebuild) {
 
     const Edge edge = g.EdgesById()[0];
     ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.6).ok());
-    const WorldBank after(g, {.num_samples = 256, .seed = 13});
-    const std::vector<uint64_t> mask =
-        ReliabilityIndex::DiffWorlds(before, after);
+    std::vector<uint64_t> mask;
+    const WorldBank after(before, g, {.num_samples = 256, .seed = 13}, &mask);
+    EXPECT_EQ(mask, XorAllRows(before, after));
     incremental.ApplyBankUpdate(after, mask);
     EXPECT_EQ(incremental.stats().incremental_updates, 1u);
     // A directed index holds no labels: the update only swaps the bank.
@@ -162,9 +185,17 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateHandlesAppendedEdges) {
     }
   }
   ASSERT_TRUE(g.AddEdge(u, v, 0.5).ok());
-  const WorldBank after(g, {.num_samples = 192, .seed = 17});
-  incremental.ApplyBankUpdate(after,
-                              ReliabilityIndex::DiffWorlds(before, after));
+  std::vector<uint64_t> mask;
+  const WorldBank after(before, g, {.num_samples = 192, .seed = 17}, &mask);
+  // Appending redraws no existing row: the changed worlds are exactly those
+  // the new edge is up in.
+  EXPECT_EQ(mask, XorAllRows(before, after));
+  const EdgeId added = static_cast<EdgeId>(g.num_edges() - 1);
+  const std::span<const uint64_t> added_row = after.EdgeUpWorlds(added);
+  EXPECT_EQ(mask, std::vector<uint64_t>(added_row.begin(), added_row.end()));
+  incremental.ApplyBankUpdate(after, mask);
+  EXPECT_EQ(incremental.stats().last_update_worlds,
+            static_cast<size_t>(WorldBank::CountBits(mask, 192)));
 
   ReliabilityIndex rebuilt(after, {});
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
@@ -189,9 +220,9 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateResetsReachCacheStats) {
 
   const Edge edge = g.EdgesById()[0];
   ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.7).ok());
-  const WorldBank after(g, {.num_samples = 256, .seed = 29});
-  incremental.ApplyBankUpdate(after,
-                              ReliabilityIndex::DiffWorlds(before, after));
+  std::vector<uint64_t> mask;
+  const WorldBank after(before, g, {.num_samples = 256, .seed = 29}, &mask);
+  incremental.ApplyBankUpdate(after, mask);
   EXPECT_EQ(incremental.stats().reach_floods, 0u);
   EXPECT_EQ(incremental.stats().reach_rows_cached, 0u);
   EXPECT_EQ(incremental.stats().reach_row_evictions, 0u);

@@ -267,10 +267,10 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
       "batch --graph " + graph + " --queries " + queries +
       " --samples 20000 --seed 5 --threads " + threads));
   EXPECT_EQ(batch,
-            "R(2, 3) = 0.3004\n"
-            "R(2, 1) = 0.9006\n"
+            "R(2, 3) = 0.3012\n"
+            "R(2, 1) = 0.8986\n"
             "R(0, 3) = 0.0000\n"
-            "R(2, 3) = 0.3004\n"
+            "R(2, 3) = 0.3012\n"
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 3 floods, "
             "0 fallback estimates, 0 index answers, 0 cache hits "
@@ -284,10 +284,10 @@ TEST_P(GoldenCliThreadSweep, Example3BatchStdoutPinned) {
       "batch --graph " + graph + " --queries " + queries +
       " --samples 20000 --seed 5 --index --threads " + threads));
   EXPECT_EQ(indexed,
-            "R(2, 3) = 0.3004\n"
-            "R(2, 1) = 0.9006\n"
+            "R(2, 3) = 0.3012\n"
+            "R(2, 1) = 0.8986\n"
             "R(0, 3) = 0.0000\n"
-            "R(2, 3) = 0.3004\n"
+            "R(2, 3) = 0.3012\n"
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
@@ -336,10 +336,10 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
       " --samples 20000 --seed 5 --index-file " + index_file +
       " --threads " + threads));
   EXPECT_EQ(built,
-            "R(2, 3) = 0.3004\n"
-            "R(2, 1) = 0.9006\n"
+            "R(2, 3) = 0.3012\n"
+            "R(2, 1) = 0.8986\n"
             "R(0, 3) = 0.0000\n"
-            "R(2, 3) = 0.3004\n"
+            "R(2, 3) = 0.3012\n"
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
@@ -368,10 +368,10 @@ TEST_P(GoldenCliThreadSweep, Example3IndexFileStdoutPinned) {
       " --samples 20000 --seed 5 --index-file " + index_file +
       " --threads " + threads));
   EXPECT_EQ(reloaded,
-            "R(2, 3) = 0.3004\n"
-            "R(2, 1) = 0.9006\n"
+            "R(2, 3) = 0.3012\n"
+            "R(2, 1) = 0.8986\n"
             "R(0, 3) = 0.0000\n"
-            "R(2, 3) = 0.3004\n"
+            "R(2, 3) = 0.3012\n"
             "R(1, 3) = 0.0000\n"
             "batch: 5 queries, 4 distinct pairs, 0 floods, "
             "0 fallback estimates, 4 index answers, 0 cache hits "
@@ -400,10 +400,10 @@ TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
       " --s 0 --t 11 --k 3 --r 12 --l 15 --h -1 --samples 400"
       " --elim-samples 400 --seed 21 --threads " + threads));
   EXPECT_EQ(solve,
-            "method BE: reliability 0.1400 -> 0.8825 (gain 0.7425) in <t> s\n"
+            "method BE: reliability 0.1400 -> 0.9050 (gain 0.7650) in <t> s\n"
             "  add 0 -> 11 (p = 0.500)\n"
-            "  add 4 -> 11 (p = 0.500)\n"
             "  add 3 -> 11 (p = 0.500)\n"
+            "  add 2 -> 11 (p = 0.500)\n"
             "candidates: 40 after elimination, 14 on top-15 paths\n");
 
   const std::string estimate = NormalizeTimings(RunCli(

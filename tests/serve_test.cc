@@ -563,6 +563,44 @@ TEST(ServeCoreTest, IndexFileIsSavedOncePerEpochByTheWriter) {
 // ------------------------------------------------------------ socket mode
 
 #ifndef _WIN32
+// A loopback client socket connected to `port`.
+int ConnectLoopback(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  return fd;
+}
+
+// Writes `request` to `fd`, optionally half-closes the sending side, then
+// reads until the server closes the connection.
+std::string Exchange(int fd, const std::string& request, bool half_close) {
+  EXPECT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  if (half_close) {
+    EXPECT_EQ(::shutdown(fd, SHUT_WR), 0);
+  }
+  std::string response;
+  char buf[256];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) response.append(buf, n);
+  ::close(fd);
+  return response;
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(ServeServerTest, SocketServesAndShutsDown) {
   ServeOptions options;
   options.engine.num_samples = 2000;
@@ -578,32 +616,48 @@ TEST(ServeServerTest, SocketServesAndShutsDown) {
   });
   const uint16_t port = port_future.get();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const std::string request = "query 2 3\nshutdown\n";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[256];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) response.append(buf, n);
-  ::close(fd);
+  const std::vector<std::string> lines = Lines(Exchange(
+      ConnectLoopback(port), "query 2 3\nshutdown\n", /*half_close=*/false));
   serving.join();  // `shutdown` stopped the listener; a leak hangs here
 
-  std::istringstream lines(response);
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line.compare(0, 8, "R(2, 3) "), 0) << line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, "OK bye");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].compare(0, 8, "R(2, 3) "), 0) << lines[0];
+  EXPECT_EQ(lines[1], "OK bye");
+}
+
+// Regression: the connection's input and output shared one stream, so the
+// EOF of a client that half-closed after its requests silenced every
+// response still to be written. Each side now keeps its own stream state.
+TEST(ServeServerTest, HalfClosedClientGetsEveryResponse) {
+  ServeOptions options;
+  options.engine.num_samples = 2000;
+  options.engine.seed = 5;
+  Server server(Example3(), options);
+
+  std::promise<uint16_t> port_promise;
+  std::future<uint16_t> port_future = port_promise.get_future();
+  std::thread serving([&] {
+    const Status status = server.ServePort(
+        0, [&](uint16_t port) { port_promise.set_value(port); });
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+  const uint16_t port = port_future.get();
+
+  // Exchange reads until the server closes the connection: three response
+  // lines, then EOF.
+  const std::vector<std::string> lines =
+      Lines(Exchange(ConnectLoopback(port), "query 2 3\nquery 2 1\nepoch\n",
+                     /*half_close=*/true));
+  // EOF ended that stream, not the listener: stop it from a second client.
+  const std::vector<std::string> bye = Lines(Exchange(
+      ConnectLoopback(port), "shutdown\n", /*half_close=*/false));
+  serving.join();
+
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0].compare(0, 8, "R(2, 3) "), 0) << lines[0];
+  EXPECT_EQ(lines[1].compare(0, 8, "R(2, 1) "), 0) << lines[1];
+  EXPECT_EQ(lines[2].compare(0, 9, "epoch: 0 "), 0) << lines[2];
+  EXPECT_EQ(bye, std::vector<std::string>{"OK bye"});
 }
 #endif  // _WIN32
 

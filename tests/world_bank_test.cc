@@ -3,12 +3,19 @@
 // track the exact factoring oracle, the word-parallel reachability fixpoint
 // must agree with per-world brute force, and the answers must be
 // bit-identical across lane kernels (scalar vs blocked/SIMD) — the
-// (threads, lane-width)-invariance determinism contract.
+// (threads, lane-width)-invariance determinism contract. Every bit is a pure
+// function of (seed, edge, world, p_e): the bit-sliced draw equals a scalar
+// compare, an update touches only its own row, and a bank derived across
+// writes equals a fresh fill bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/exact_reliability.h"
 #include "graph/uncertain_graph.h"
 #include "sampling/bitlane.h"
@@ -281,6 +288,185 @@ TEST(WorldBankTest, ReusedScratchIsWipedByDefault) {
   for (size_t w = 0; w < bank.world_words(); ++w) {
     EXPECT_EQ(seeded.row(3)[w] & from_zero[w], from_zero[w]) << "word " << w;
   }
+}
+
+// ------------------------------------------------------ keyed draw contract
+
+// Scalar reference for DrawWord: rebuild each world's 53-bit uniform from the
+// full keyed stream (draw i carries bit 52 - i of every world's U) and
+// compare it against the threshold one world at a time.
+uint64_t ScalarWord(uint64_t word_seed, uint64_t threshold) {
+  Rng rng(word_seed);
+  uint64_t u[64] = {};
+  for (int k = 52; k >= 0; --k) {
+    const uint64_t r = rng.Next();
+    for (int j = 0; j < 64; ++j) u[j] |= ((r >> j) & 1) << k;
+  }
+  uint64_t up = 0;
+  for (int j = 0; j < 64; ++j) {
+    if (u[j] < threshold) up |= uint64_t{1} << j;
+  }
+  return up;
+}
+
+TEST(WorldBankTest, BitSlicedDrawEqualsScalarCompare) {
+  constexpr uint64_t kP53 = uint64_t{1} << 53;
+  // The range's ends, and 2^52, whose low 52 bits are all zero.
+  std::vector<uint64_t> thresholds = {0, 1, 2, 3, kP53 / 2, kP53 - 1, kP53};
+  Rng rng(97);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t t = rng.NextUint64(kP53) + 1;
+    thresholds.push_back(t);
+    // Trailing zero bits end the compare early: the draw must still equal
+    // the full 53-bit comparison.
+    thresholds.push_back(std::max<uint64_t>(t >> (i % 53) << (i % 53), 1));
+  }
+  for (uint64_t t : thresholds) {
+    for (uint64_t word_seed : {uint64_t{1}, uint64_t{12345},
+                               WorldBank::WordSeed(7, 3, 11)}) {
+      ASSERT_EQ(WorldBank::DrawWord(word_seed, t), ScalarWord(word_seed, t))
+          << "threshold " << t << " seed " << word_seed;
+    }
+  }
+}
+
+// A random graph with more edges than one fill shard holds, so the fill's
+// (row range, lane block) shards split rows and worlds both.
+UncertainGraph ManyEdgeGraph(uint64_t seed) {
+  Rng rng(seed);
+  UncertainGraph g = UncertainGraph::Undirected(30);
+  while (g.num_edges() < 150) {
+    const NodeId u = static_cast<NodeId>(rng.NextUint64(30));
+    const NodeId v = static_cast<NodeId>(rng.NextUint64(30));
+    if (u == v || g.HasEdge(u, v)) continue;
+    EXPECT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.05, 0.95)).ok());
+  }
+  return g;
+}
+
+void ExpectSameBits(const WorldBank& got, const WorldBank& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.num_edges(), want.num_edges()) << what;
+  for (size_t e = 0; e < want.num_edges(); ++e) {
+    ASSERT_EQ(ToVec(got.EdgeUpWorlds(static_cast<EdgeId>(e))),
+              ToVec(want.EdgeUpWorlds(static_cast<EdgeId>(e))))
+        << what << ": edge " << e;
+  }
+}
+
+// Worlds whose edge set differs between the banks, by brute force: the XOR
+// of every row both banks hold, plus every row only one of them holds.
+std::vector<uint64_t> XorAllRows(const WorldBank& a, const WorldBank& b) {
+  std::vector<uint64_t> mask(a.world_words(), 0);
+  for (size_t e = 0; e < std::max(a.num_edges(), b.num_edges()); ++e) {
+    for (size_t w = 0; w < mask.size(); ++w) {
+      const EdgeId id = static_cast<EdgeId>(e);
+      const uint64_t in_a = e < a.num_edges() ? a.EdgeUpWorlds(id)[w] : 0;
+      const uint64_t in_b = e < b.num_edges() ? b.EdgeUpWorlds(id)[w] : 0;
+      mask[w] |= in_a ^ in_b;
+    }
+  }
+  return mask;
+}
+
+TEST(WorldBankTest, UpdatingOneEdgeRedrawsOnlyItsRowMonotonically) {
+  UncertainGraph g = ManyEdgeGraph(41);
+  const WorldBank::Options options{.num_samples = 700, .seed = 43};
+  const WorldBank before(g, options);
+  const EdgeId changed = 77;
+  const Edge edge = g.EdgeById(changed);
+  ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob + 0.04).ok());
+  const WorldBank after(g, options);
+  for (size_t e = 0; e < g.num_edges(); ++e) {
+    if (e == changed) continue;
+    ASSERT_EQ(ToVec(after.EdgeUpWorlds(static_cast<EdgeId>(e))),
+              ToVec(before.EdgeUpWorlds(static_cast<EdgeId>(e))))
+        << "edge " << e;
+  }
+  // Raising p only adds worlds: every world the edge was up in stays up.
+  const std::vector<uint64_t> old_row = ToVec(before.EdgeUpWorlds(changed));
+  const std::vector<uint64_t> new_row = ToVec(after.EdgeUpWorlds(changed));
+  int64_t added = 0;
+  for (size_t w = 0; w < old_row.size(); ++w) {
+    EXPECT_EQ(old_row[w] & ~new_row[w], 0u) << "word " << w;
+    added += __builtin_popcountll(new_row[w] & ~old_row[w]);
+  }
+  EXPECT_GT(added, 0);
+  EXPECT_LT(added, 700 / 4);
+}
+
+TEST(WorldBankTest, DeriveEqualsFreshFillAcrossWrites) {
+  for (int threads : {1, 4}) {
+    UncertainGraph g = ManyEdgeGraph(53);
+    // 700 worlds: two lane blocks and a partial tail word.
+    const WorldBank::Options options{
+        .num_samples = 700, .seed = 59, .num_threads = threads};
+    auto bank = std::make_unique<WorldBank>(g, options);
+    // Updates to and from the no-draw probabilities 0 and 1, interior
+    // nudges, and appended edges, each derived from the previous bank.
+    struct Write {
+      NodeId u, v;
+      double p;
+    };
+    std::vector<Write> writes;
+    for (EdgeId e : {EdgeId{3}, EdgeId{90}, EdgeId{149}}) {
+      const Edge edge = g.EdgeById(e);
+      writes.push_back({edge.src, edge.dst, 0.0});
+      writes.push_back({edge.src, edge.dst, 0.6});
+      writes.push_back({edge.src, edge.dst, 1.0});
+      writes.push_back({edge.src, edge.dst, 0.25});
+    }
+    Rng rng(61);
+    while (writes.size() < 20) {
+      const NodeId u = static_cast<NodeId>(rng.NextUint64(30));
+      const NodeId v = static_cast<NodeId>(rng.NextUint64(30));
+      if (u == v || g.HasEdge(u, v)) continue;
+      bool pending = false;
+      for (const Write& w : writes) {
+        pending = pending || (w.u == u && w.v == v) || (w.u == v && w.v == u);
+      }
+      if (!pending) writes.push_back({u, v, rng.NextDouble(0.1, 0.9)});
+    }
+    for (size_t i = 0; i < writes.size(); ++i) {
+      const Write& w = writes[i];
+      ASSERT_TRUE((g.HasEdge(w.u, w.v) ? g.UpdateEdgeProb(w.u, w.v, w.p)
+                                       : g.AddEdge(w.u, w.v, w.p))
+                      .ok());
+      std::vector<uint64_t> mask;
+      auto derived = std::make_unique<WorldBank>(*bank, g, options, &mask);
+      const std::string what =
+          "threads " + std::to_string(threads) + " write " + std::to_string(i);
+      ExpectSameBits(*derived, WorldBank(g, options), what);
+      EXPECT_EQ(mask, XorAllRows(*bank, *derived)) << what;
+      bank = std::move(derived);
+    }
+  }
+}
+
+TEST(WorldBankTest, DeriveFromLoadedRowsRecomputesThresholds) {
+  // A bank adopting pre-filled rows (the index-file load path) knows its
+  // seed and recomputes thresholds from the graph, so deriving from it
+  // equals deriving from the bank whose rows it adopted.
+  UncertainGraph g = ManyEdgeGraph(67);
+  const WorldBank::Options options{.num_samples = 300, .seed = 71};
+  const WorldBank filled(g, options);
+  bitlane::BitMatrix rows(g.num_edges(), filled.world_words());
+  for (size_t e = 0; e < g.num_edges(); ++e) {
+    const std::span<const uint64_t> row =
+        filled.EdgeUpWorlds(static_cast<EdgeId>(e));
+    std::copy(row.begin(), row.end(), rows.row(e));
+  }
+  const WorldBank adopted(g, options.num_samples, options.seed,
+                          std::move(rows));
+  const Edge edge = g.EdgeById(5);
+  ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, 0.9).ok());
+  NodeId v = 1;
+  while (g.HasEdge(0, v)) ++v;
+  ASSERT_TRUE(g.AddEdge(0, v, 0.5).ok());
+  std::vector<uint64_t> mask;
+  const WorldBank derived(adopted, g, options, &mask);
+  ExpectSameBits(derived, WorldBank(g, options), "derived from adopted rows");
+  EXPECT_EQ(mask, XorAllRows(filled, derived));
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 # queries, and engine flags — the serving determinism contract, end to end
 # through the real CLI. Also checks the typed-shed path (--max-queue 0) and
 # that an `update` republish changes subsequent answers without breaking the
-# stream. Run under ASan (the serve-smoke CI job does) and a leaked thread,
-# socket, or graph copy fails the job.
+# stream, and serves the same queries over TCP (--port 0) to a client that
+# half-closes its side before reading. Run under ASan (the serve-smoke CI job
+# does) and a leaked thread, socket, or graph copy fails the job.
 #
 # usage: serve_smoke.sh /path/to/relmax [workdir]
 set -euo pipefail
@@ -58,6 +59,56 @@ echo "OK: serve rows identical to batch rows"
 
 grep -q '^OK bye$' "$WORK/serve.out" || {
   echo "FAIL: stream did not end with a clean OK bye" >&2; exit 1; }
+
+echo "== TCP client that half-closes (--port 0) =="
+# The client sends the scripted queries, closes its sending side and reads
+# to EOF: every answer must still arrive (the socket's input EOF must not
+# silence the response stream), and the rows must equal the batch rows. A
+# second connection then stops the listener.
+"$CLI" serve --graph "$WORK/graph.txt" --samples $SAMPLES --seed $SEED \
+  --port 0 > "$WORK/tcp_server.out" &
+SERVER_PID=$!
+trap 'kill $SERVER_PID 2>/dev/null || true' EXIT
+for _ in $(seq 1 300); do
+  grep -q '^serving on port ' "$WORK/tcp_server.out" && break
+  sleep 0.1
+done
+PORT=$(sed -n 's/^serving on port //p' "$WORK/tcp_server.out")
+[ -n "$PORT" ] || { echo "FAIL: serve --port 0 never listened" >&2; exit 1; }
+python3 - "$PORT" "$WORK/queries.txt" > "$WORK/tcp.out" <<'PY'
+import socket
+import sys
+
+port, queries = int(sys.argv[1]), sys.argv[2]
+
+
+def exchange(payload, half_close):
+    with socket.create_connection(("127.0.0.1", port), timeout=120) as conn:
+        conn.sendall(payload.encode())
+        if half_close:
+            conn.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := conn.recv(4096):
+            chunks.append(chunk)
+    return b"".join(chunks).decode()
+
+
+with open(queries) as f:
+    stream = "".join(f"query {line.strip()}\n" for line in f if line.strip())
+sys.stdout.write(exchange(stream, half_close=True))
+sys.stdout.write(exchange("shutdown\n", half_close=False))
+PY
+wait $SERVER_PID
+trap - EXIT
+cat "$WORK/tcp.out"
+grep '^R(' "$WORK/tcp.out" > "$WORK/tcp.rows" || true
+if ! diff -u "$WORK/batch.rows" "$WORK/tcp.rows"; then
+  echo "FAIL: half-closed TCP client rows differ from batch rows" >&2
+  exit 1
+fi
+grep -q '^OK bye$' "$WORK/tcp.out" || {
+  echo "FAIL: TCP shutdown did not answer OK bye" >&2; exit 1; }
+echo "OK: half-closed TCP client got every row, identical to batch rows"
 
 echo "== shed path (--max-queue 0) =="
 "$CLI" serve --graph "$WORK/graph.txt" --max-queue 0 \
