@@ -1,14 +1,17 @@
 // Micro-kernel benchmarks (google-benchmark): the primitives the solver
 // pipeline is built from — MC sampling, RSS, reliability-to-all passes,
-// most-reliable-path Dijkstra, Yen top-l, search-space elimination, and the
-// delta-gain world ensemble.
+// most-reliable-path Dijkstra, Yen top-l, search-space elimination, bank
+// derive and index update after a write, and the delta-gain world ensemble.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "baselines/fast_gain.h"
 #include "common/rng.h"
 #include "core/candidates.h"
 #include "gen/datasets.h"
 #include "gen/queries.h"
+#include "index/reliability_index.h"
 #include "paths/most_reliable_path.h"
 #include "paths/yen.h"
 #include "sampling/reliability.h"
@@ -169,34 +172,68 @@ void BM_WorldBankFill(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldBankFill)->Arg(500)->Arg(2000);
 
+// The graph after one write to TestGraph(): 0 halves edge 0's probability,
+// 1 appends an edge at p = 0.5.
+const UncertainGraph& WrittenGraph(int64_t write) {
+  static const UncertainGraph* const written[2] = {
+      [] {
+        auto* g = new UncertainGraph(TestGraph().graph);
+        const Edge edge = g->EdgeById(0);
+        RELMAX_CHECK(g->UpdateEdgeProb(edge.src, edge.dst, edge.prob / 2).ok());
+        return g;
+      }(),
+      [] {
+        auto* g = new UncertainGraph(TestGraph().graph);
+        NodeId v = 1;
+        while (g->HasEdge(0, v)) ++v;
+        RELMAX_CHECK(g->AddEdge(0, v, 0.5).ok());
+        return g;
+      }()};
+  return *written[write];
+}
+
 // Bank derive: the next bank after one write, from the previous one — the
 // per-write bank cost of incremental maintenance. Second arg: 0 updates one
 // edge's probability, 1 appends one edge at p = 0.5. One iteration copies
-// every unchanged row, redraws the written row and returns the
-// changed-world mask.
+// every unchanged row, redraws the written row and returns the delta.
 void BM_WorldBankDerive(benchmark::State& state) {
   const int z = static_cast<int>(state.range(0));
   const WorldBank::Options options{.num_samples = z, .seed = 31};
-  const UncertainGraph& before = TestGraph().graph;
-  const WorldBank prev(before, options);
-  UncertainGraph after = before;
-  if (state.range(1) == 0) {
-    const Edge edge = after.EdgeById(0);
-    RELMAX_CHECK(after.UpdateEdgeProb(edge.src, edge.dst, edge.prob / 2).ok());
-  } else {
-    NodeId v = 1;
-    while (after.HasEdge(0, v)) ++v;
-    RELMAX_CHECK(after.AddEdge(0, v, 0.5).ok());
-  }
-  std::vector<uint64_t> changed_worlds;
+  const WorldBank prev(TestGraph().graph, options);
+  const UncertainGraph& after = WrittenGraph(state.range(1));
+  WorldBank::Delta delta;
   for (auto _ : state) {
-    WorldBank derived(prev, after, options, &changed_worlds);
-    benchmark::DoNotOptimize(changed_worlds.data());
+    WorldBank derived(prev, after, options, &delta);
+    benchmark::DoNotOptimize(delta.changed.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * z);
 }
 BENCHMARK(BM_WorldBankDerive)->ArgsProduct({{500, 2000}, {0, 1}});
+
+// Index update: the label work of one write, given the derived bank — the
+// per-write index cost of incremental maintenance. Second arg as for
+// BM_WorldBankDerive: an update down relabels the worlds that lost the edge,
+// an appended edge merges components in the worlds it is up in. Each
+// iteration starts from an untimed copy of the pre-write labels.
+void BM_IndexApplyBankUpdate(benchmark::State& state) {
+  const int z = static_cast<int>(state.range(0));
+  const WorldBank::Options options{.num_samples = z, .seed = 31};
+  const WorldBank prev(TestGraph().graph, options);
+  WorldBank::Delta delta;
+  const WorldBank next(prev, WrittenGraph(state.range(1)), options, &delta);
+  const ReliabilityIndex base(prev, {});
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<ReliabilityIndex> index = base.Clone(/*num_threads=*/1);
+    state.ResumeTiming();
+    index->ApplyBankUpdate(next, delta);
+    benchmark::DoNotOptimize(index->label_words().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * z);
+}
+BENCHMARK(BM_IndexApplyBankUpdate)->ArgsProduct({{500, 2000}, {0, 1}});
 
 void BM_WorldEnsembleBuild(benchmark::State& state) {
   const auto [s, t] = TestQuery();

@@ -78,9 +78,12 @@ inline constexpr uint64_t kIndexMagic = 0x3158444958494d52;   // "RMIXIDX1"
 inline constexpr uint64_t kIndexFooterMagic =
     0x31444e4558494d52;                                       // "RMIXEND1"
 /// Files of any other version fail to load, and the engine rebuilds: v1 had
-/// a third section, and v2 bank rows came from the per-word draw stream that
-/// keyed world draws (WorldBank::WordSeed) replaced.
-inline constexpr uint32_t kIndexFormatVersion = 3;
+/// a third section, v2 bank rows came from the per-word draw stream that
+/// keyed world draws (WorldBank::WordSeed) replaced, and v3 labels numbered
+/// components by first appearance in node order where v4 labels each
+/// component by its smallest node id — the form incremental merges keep, so
+/// a v3 file's labels would drift from a fresh build's after a write.
+inline constexpr uint32_t kIndexFormatVersion = 4;
 inline constexpr uint32_t kIndexEndianTag = 0x01020304;
 inline constexpr uint32_t kIndexFlagDirected = 1u << 0;
 

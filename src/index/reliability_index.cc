@@ -29,18 +29,6 @@ std::vector<uint64_t> AllWorlds(int num_worlds, size_t world_words) {
   return all;
 }
 
-/// Per-lane labeling scratch, reused across every world a lane relabels.
-struct LabelScratch {
-  // This 64-world word of every edge's up row, hoisted once per word so the
-  // per-world inner loops index one flat array instead of striding across
-  // the bank's rows per (edge, world).
-  std::vector<uint64_t> up_words;
-  // Undirected union-find.
-  std::vector<NodeId> parent;
-  // Raw label -> compact label, keyed by first appearance in node order.
-  std::vector<NodeId> remap;
-};
-
 NodeId Find(std::vector<NodeId>& parent, NodeId v) {
   while (parent[v] != v) {
     parent[v] = parent[parent[v]];  // path halving
@@ -58,6 +46,16 @@ size_t LabelWords(const UncertainGraph& g, int num_samples) {
 }
 
 }  // namespace
+
+/// Per-lane labeling scratch, reused across every world a lane relabels.
+struct ReliabilityIndex::LabelScratch {
+  // This 64-world word of every edge's up row, hoisted once per word so the
+  // per-world inner loops index one flat array instead of striding across
+  // the bank's rows per (edge, world).
+  std::vector<uint64_t> up_words;
+  // Undirected union-find.
+  std::vector<NodeId> parent;
+};
 
 size_t ReliabilityIndex::LabelBytes(NodeId num_nodes, int num_samples) {
   const size_t world_words = (static_cast<size_t>(num_samples) + 63) / 64;
@@ -108,8 +106,6 @@ std::unique_ptr<ReliabilityIndex> ReliabilityIndex::Clone(
 }
 
 void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
-  const size_t num_rows = static_cast<size_t>(num_nodes_) * label_bits_;
-  const std::vector<Edge>& edges = bank_->universe().EdgesById();
   // One shard per 64-world word: a shard writes only bit-word `word` of every
   // plane row, so shards are race-free, and per-world labels are a pure
   // function of the bank bits — bit-identical for any num_threads.
@@ -117,51 +113,96 @@ void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
       world_words_, options_.num_threads,
       [] { return std::make_unique<LabelScratch>(); },
       [&](std::unique_ptr<LabelScratch>& scratch, size_t word) {
-        const uint64_t mask_word = mask[word];
-        if (mask_word == 0) return;
-        // Clear the affected worlds' columns; other worlds keep their bits.
-        const uint64_t keep = ~mask_word;
-        for (size_t row = 0; row < num_rows; ++row) {
-          labels_[row * world_words_ + word] &= keep;
-        }
-        LabelScratch& s = *scratch;
-        s.up_words.resize(edges.size());
-        for (size_t e = 0; e < edges.size(); ++e) {
-          s.up_words[e] = bank_->EdgeUpWorlds(static_cast<EdgeId>(e))[word];
-        }
-        for (int bit = 0; bit < 64; ++bit) {
-          if (((mask_word >> bit) & 1) == 0) continue;
-          if (static_cast<int>(word * 64) + bit >= num_worlds_) break;
-          const uint64_t world_bit = uint64_t{1} << bit;
-          // Exact connected components: union-find over the world's up
-          // edges, labels compacted by first appearance in node order.
-          s.parent.resize(num_nodes_);
-          for (NodeId v = 0; v < num_nodes_; ++v) s.parent[v] = v;
-          for (size_t e = 0; e < edges.size(); ++e) {
-            if ((s.up_words[e] & world_bit) == 0) continue;
-            const NodeId a = Find(s.parent, edges[e].src);
-            const NodeId b = Find(s.parent, edges[e].dst);
-            if (a != b) s.parent[std::max(a, b)] = std::min(a, b);
-          }
-          s.remap.assign(num_nodes_, kInvalidNode);
-          NodeId next = 0;
-          for (NodeId v = 0; v < num_nodes_; ++v) {
-            const NodeId root = Find(s.parent, v);
-            if (s.remap[root] == kInvalidNode) s.remap[root] = next++;
-            // Set bit `world_bit` of word `word` in v's planes for its label.
-            const NodeId label = s.remap[root];
-            uint64_t* base =
-                labels_.data() +
-                static_cast<size_t>(v) * label_bits_ * world_words_ + word;
-            for (int b = 0; b < label_bits_; ++b) {
-              if ((label >> b) & 1) {
-                base[static_cast<size_t>(b) * world_words_] |= world_bit;
-              }
-            }
-          }
-        }
+        if (mask[word] != 0) RelabelWord(*scratch, word, mask[word]);
       },
       [](std::unique_ptr<LabelScratch>&) {});
+}
+
+void ReliabilityIndex::RelabelWord(LabelScratch& s, size_t word,
+                                   uint64_t mask_word) {
+  const size_t num_rows = static_cast<size_t>(num_nodes_) * label_bits_;
+  const std::vector<Edge>& edges = bank_->universe().EdgesById();
+  const size_t num_edges = bank_->num_edges();
+  // Clear the affected worlds' columns; other worlds keep their bits.
+  const uint64_t keep = ~mask_word;
+  for (size_t row = 0; row < num_rows; ++row) {
+    labels_[row * world_words_ + word] &= keep;
+  }
+  s.up_words.resize(num_edges);
+  for (size_t e = 0; e < num_edges; ++e) {
+    s.up_words[e] = bank_->EdgeUpWorlds(static_cast<EdgeId>(e))[word];
+  }
+  for (int bit = 0; bit < 64; ++bit) {
+    if (((mask_word >> bit) & 1) == 0) continue;
+    if (static_cast<int>(word * 64) + bit >= num_worlds_) break;
+    const uint64_t world_bit = uint64_t{1} << bit;
+    // Exact connected components: union-find over the world's up edges.
+    // Uniting roots as parent[max] = min keeps every root the smallest node
+    // of its component, so Find(v) is v's canonical label.
+    s.parent.resize(num_nodes_);
+    for (NodeId v = 0; v < num_nodes_; ++v) s.parent[v] = v;
+    for (size_t e = 0; e < num_edges; ++e) {
+      if ((s.up_words[e] & world_bit) == 0) continue;
+      const NodeId a = Find(s.parent, edges[e].src);
+      const NodeId b = Find(s.parent, edges[e].dst);
+      if (a != b) s.parent[std::max(a, b)] = std::min(a, b);
+    }
+    for (NodeId v = 0; v < num_nodes_; ++v) {
+      // Set bit `world_bit` of word `word` in v's planes for its label.
+      const NodeId label = Find(s.parent, v);
+      uint64_t* base = labels_.data() +
+                       static_cast<size_t>(v) * label_bits_ * world_words_ +
+                       word;
+      for (int b = 0; b < label_bits_; ++b) {
+        if ((label >> b) & 1) {
+          base[static_cast<size_t>(b) * world_words_] |= world_bit;
+        }
+      }
+    }
+  }
+}
+
+void ReliabilityIndex::MergeWord(size_t word, NodeId a, NodeId b,
+                                 uint64_t worlds) {
+  // Labels are below num_nodes_ < 2^32, so at most 32 planes.
+  constexpr int kMaxBits = 32;
+  const size_t stride = world_words_;
+  const size_t node_words = static_cast<size_t>(label_bits_) * stride;
+  uint64_t la[kMaxBits] = {};
+  uint64_t lb[kMaxBits] = {};
+  uint64_t lo[kMaxBits] = {};
+  const uint64_t* const pa = labels_.data() + a * node_words + word;
+  const uint64_t* const pb = labels_.data() + b * node_words + word;
+  uint64_t differ = 0;
+  for (int k = 0; k < label_bits_; ++k) {
+    la[k] = pa[k * stride];
+    lb[k] = pb[k * stride];
+    differ |= la[k] ^ lb[k];
+  }
+  worlds &= differ;  // worlds where a and b are already connected keep theirs
+  if (worlds == 0) return;
+  // La < Lb per world, decided at the top plane where the labels differ.
+  uint64_t lt = 0;
+  uint64_t undecided = ~uint64_t{0};
+  for (int k = label_bits_ - 1; k >= 0; --k) {
+    lt |= undecided & ~la[k] & lb[k];
+    undecided &= ~(la[k] ^ lb[k]);
+  }
+  for (int k = 0; k < label_bits_; ++k) lo[k] = (la[k] & lt) | (lb[k] & ~lt);
+  uint64_t* row = labels_.data() + word;
+  for (NodeId v = 0; v < num_nodes_; ++v, row += node_words) {
+    uint64_t not_a = 0;
+    uint64_t not_b = 0;
+    for (int k = 0; k < label_bits_; ++k) {
+      not_a |= row[k * stride] ^ la[k];
+      not_b |= row[k * stride] ^ lb[k];
+    }
+    const uint64_t hit = worlds & ~(not_a & not_b);
+    if (hit == 0) continue;
+    for (int k = 0; k < label_bits_; ++k) {
+      row[k * stride] = (row[k * stride] & ~hit) | (lo[k] & hit);
+    }
+  }
 }
 
 std::shared_ptr<const bitlane::BitMatrix> ReliabilityIndex::SourceReach(
@@ -237,11 +278,13 @@ double ReliabilityIndex::Query(NodeId s, NodeId t) const {
 }
 
 void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
-                                       const std::vector<uint64_t>& affected) {
+                                       const WorldBank::Delta& delta) {
   RELMAX_CHECK(fresh.num_worlds() == num_worlds_);
   RELMAX_CHECK(fresh.universe().num_nodes() == num_nodes_);
   RELMAX_CHECK(fresh.universe().directed() == directed_);
-  RELMAX_CHECK(affected.size() == world_words_);
+  RELMAX_CHECK(delta.changed.size() == world_words_);
+  RELMAX_CHECK(delta.lost.size() == world_words_);
+  const WorldBank& prev = *bank_;
   bank_ = &fresh;
   // Reach rows mix affected and unaffected worlds in one flood; rebuild them
   // lazily rather than patching. The reach counters reset with the cache —
@@ -258,11 +301,33 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
   const size_t worlds =
       directed_ ? 0
                 : static_cast<size_t>(WorldBank::CountBits(
-                      affected, static_cast<size_t>(num_worlds_)));
+                      delta.changed, static_cast<size_t>(num_worlds_)));
   ++stats_.incremental_updates;
   stats_.last_update_worlds = worlds;
   stats_.worlds_relabeled += worlds;
-  if (worlds > 0) RelabelWorlds(affected);
+  if (worlds == 0) return;
+  const std::vector<Edge>& edges = fresh.universe().EdgesById();
+  const size_t prev_rows = prev.num_edges();
+  // Per 64-world word, as RelabelWorlds: lost worlds are relabeled from the
+  // fresh bank, and every other changed world merges the endpoints of each
+  // edge newly up in it. Merges run in redrawn-row order, but min-id labels
+  // make the result that of a fresh build in any order.
+  ForEachShard(
+      world_words_, options_.num_threads,
+      [] { return std::make_unique<LabelScratch>(); },
+      [&](std::unique_ptr<LabelScratch>& scratch, size_t word) {
+        const uint64_t lost = delta.lost[word];
+        const uint64_t gained = delta.changed[word] & ~lost;
+        if (lost != 0) RelabelWord(*scratch, word, lost);
+        if (gained == 0) return;
+        for (EdgeId e : delta.redrawn) {
+          const uint64_t before =
+              e < prev_rows ? prev.EdgeUpWorlds(e)[word] : 0;
+          const uint64_t up = fresh.EdgeUpWorlds(e)[word] & ~before & gained;
+          if (up != 0) MergeWord(word, edges[e].src, edges[e].dst, up);
+        }
+      },
+      [](std::unique_ptr<LabelScratch>&) {});
 }
 
 }  // namespace relmax

@@ -48,22 +48,31 @@ namespace relmax {
 /// **Incremental maintenance:** after a graph mutation the owner derives
 /// the next bank from the old one (bank bits are a pure function of (seed,
 /// edge, world, p_e), so the derived bank is bit-identical to a fresh
-/// engine's) and calls ApplyBankUpdate with the changed-world mask the
-/// derive returns — the XOR of old and new redrawn rows plus the up worlds
-/// of appended rows. Only the affected worlds' label columns are recomputed;
-/// unaffected worlds keep their labels untouched. A single-edge probability
-/// nudge flips only the worlds whose uniform lies between the old and new
-/// thresholds, and an appended edge touches only the worlds it is up in, so
-/// relabeling — the expensive part — scales with the size of the change,
-/// not with Z. A directed index only swaps the bank and drops its reach
-/// cache.
+/// engine's) and calls ApplyBankUpdate with the derive's WorldBank::Delta.
+/// Only the changed worlds' label columns move; every other world keeps its
+/// labels untouched. A single-edge probability nudge flips only the worlds
+/// whose uniform lies between the old and new thresholds, and an appended
+/// edge touches only the worlds it is up in, so the work scales with the
+/// size of the change, not with Z. The delta picks one of two kernels per
+/// world:
+///   - a world that **lost** an edge is relabeled from scratch (union-find
+///     over its up edges);
+///   - a world that only **gained** edges needs no traversal: its new
+///     components are the old ones with each gained edge's endpoint
+///     components merged. With min-id labels that merge is bit-sliced over
+///     64 worlds at once: where the endpoints' labels La != Lb, every node
+///     labeled La or Lb takes min(La, Lb) — O(n · log n) word operations per
+///     gained edge and 64-world word.
+/// A directed index only swaps the bank and drops its reach cache.
 ///
 /// Determinism: labels are filled by the counter-seeded sharded executor
 /// (shard i owns bit-word i of every plane), and per-world labeling is
-/// canonical (components numbered by first appearance in node order), so the
-/// whole index is a pure function of the bank bits — bit-identical for any
-/// num_threads. Queries never depend on cache state: eviction changes which
-/// floods re-run, never their results.
+/// canonical (a component's label is its smallest node id, whichever kernel
+/// wrote it), so the whole index is a pure function of the bank bits —
+/// bit-identical for any num_threads, and an incrementally maintained index
+/// equals a fresh build over the same bank bit for bit. Queries never
+/// depend on cache state: eviction changes which floods re-run, never their
+/// results.
 ///
 /// Query / ConnectedWorlds are thread-safe: a mutex guards the reach cache
 /// for lookups and inserts only, and cold sources flood outside it.
@@ -95,9 +104,10 @@ class ReliabilityIndex {
     /// ApplyBankUpdate calls that kept unaffected worlds.
     size_t incremental_updates = 0;
     /// Worlds relabeled across all builds and updates (always 0 for a
-    /// directed index, which holds no labels).
+    /// directed index, which holds no labels). An update counts every
+    /// changed world, whether it was relabeled or merged.
     size_t worlds_relabeled = 0;
-    /// Worlds relabeled by the most recent ApplyBankUpdate.
+    /// Worlds relabeled or merged by the most recent ApplyBankUpdate.
     size_t last_update_worlds = 0;
     /// Directed lazy floods actually run (one per uncached source).
     size_t reach_floods = 0;
@@ -143,16 +153,17 @@ class ReliabilityIndex {
   /// successor index (ApplyBankUpdate) while this one keeps answering.
   std::unique_ptr<ReliabilityIndex> Clone(int num_threads) const;
 
-  /// Relabels exactly the worlds set in `affected` (world-indexed bitset)
-  /// against `fresh`, keeping every other world's labels. `fresh` must have
-  /// the same num_worlds and universe num_nodes as the indexed bank (edges
-  /// may have been appended) and replaces it as the index's bank; the
-  /// directed reach cache is dropped. Pass the changed-world mask of the
-  /// WorldBank derive constructor that made `fresh` from the indexed bank.
-  /// A directed index holds no labels, so it ignores the mask and relabels
-  /// nothing.
-  void ApplyBankUpdate(const WorldBank& fresh,
-                       const std::vector<uint64_t>& affected);
+  /// Moves the index from the bank it holds to `fresh`, the bank the
+  /// WorldBank derive constructor made from it, given that derive's `delta`.
+  /// Exactly the worlds in delta.changed are updated and every other
+  /// world's labels are kept: delta.lost worlds are relabeled from scratch,
+  /// and the rest are merged along the edges newly up in them (the fresh row
+  /// AND NOT the held bank's). `fresh` must have the same num_worlds and
+  /// universe num_nodes as the held bank (edges may have been appended), the
+  /// held bank must still be alive, and `fresh` replaces it; the directed
+  /// reach cache is dropped. A directed index holds no labels, so it ignores
+  /// the delta and relabels nothing.
+  void ApplyBankUpdate(const WorldBank& fresh, const WorldBank::Delta& delta);
 
   int num_worlds() const { return num_worlds_; }
   /// Bitplanes per node (ceil(log2 num_nodes); 0 for a 1-node or a
@@ -169,9 +180,19 @@ class ReliabilityIndex {
   Stats stats() const;
 
  private:
+  struct LabelScratch;
+
   // Recomputes the label columns of every world set in `mask` from bank_.
   // Affected bits are cleared first; other worlds' bits are untouched.
   void RelabelWorlds(const std::vector<uint64_t>& mask);
+
+  // RelabelWorlds for the worlds of `mask_word` in 64-world word `word`.
+  void RelabelWord(LabelScratch& scratch, size_t word, uint64_t mask_word);
+
+  // In the worlds of `worlds` (bits of 64-world word `word`) where a and b
+  // carry different labels, relabels both components to the smaller label:
+  // the components after adding up-edge (a, b) to those worlds.
+  void MergeWord(size_t word, NodeId a, NodeId b, uint64_t worlds);
 
   // The reach matrix for `s` (row v = worlds where v is reachable from s),
   // flooding on first use.

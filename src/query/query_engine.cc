@@ -70,11 +70,11 @@ void QueryEngine::Advance(const WorldBank* old_bank,
   if (old_bank == nullptr || !UseSharedWorlds()) return;
   WorldBank::Options fill = WorldOptions();
   fill.num_threads = num_workers;
-  std::vector<uint64_t> changed_worlds;
-  auto fresh = std::make_shared<const WorldBank>(*old_bank, graph_, fill,
-                                                 &changed_worlds);
+  WorldBank::Delta delta;
+  auto fresh =
+      std::make_shared<const WorldBank>(*old_bank, graph_, fill, &delta);
   if (index != nullptr && UseIndex() && GraphExtendsIndexedShape()) {
-    index->ApplyBankUpdate(*fresh, changed_worlds);
+    index->ApplyBankUpdate(*fresh, delta);
   } else {
     index.reset();
   }

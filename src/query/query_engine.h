@@ -168,8 +168,9 @@ struct BatchResult {
 /// unchanged is free. Any mutation (AddEdge/UpdateEdgeProb/assignment)
 /// invalidates the cache on the next Answer(); a live index additionally
 /// attempts incremental maintenance — derive the bank, redrawing only the
-/// changed edge rows, and relabel only the worlds whose sampled edge
-/// presence actually changed — before falling back to a wholesale rebuild.
+/// changed edge rows, and update the labels of only the worlds whose
+/// sampled edge presence actually changed — before falling back to a
+/// wholesale rebuild.
 ///
 /// Answer() is safe to call from many threads while the graph is not being
 /// mutated: one mutex guards the lazy bank / index build and file load,
@@ -221,9 +222,10 @@ class QueryEngine {
   // lanes, redrawing only updated and appended rows — bit-identical to a
   // fresh engine's, bank bits being a pure function of (seed, edge, world,
   // p_e). When graph_ extends the indexed shape (same nodes, same
-  // existing-edge endpoints), `index` relabels only the worlds the derive
-  // reports changed (none for a directed index, which holds no labels) and
-  // is republished; otherwise it drops. With no old bank, both stay lazy.
+  // existing-edge endpoints), `index` updates only the worlds the derive's
+  // delta reports changed (none for a directed index, which holds no
+  // labels) and is republished; otherwise it drops. With no old bank, both
+  // stay lazy.
   void Advance(const WorldBank* old_bank,
                std::unique_ptr<ReliabilityIndex> index, int num_workers);
 

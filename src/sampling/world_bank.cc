@@ -106,8 +106,7 @@ WorldBank::WorldBank(const UncertainGraph& universe, const Options& options)
 }
 
 WorldBank::WorldBank(const WorldBank& prev, const UncertainGraph& universe,
-                     const Options& options,
-                     std::vector<uint64_t>* changed_worlds)
+                     const Options& options, Delta* delta)
     : universe_(universe),
       num_worlds_(options.num_samples),
       world_words_(prev.world_words_),
@@ -118,7 +117,8 @@ WorldBank::WorldBank(const WorldBank& prev, const UncertainGraph& universe,
   RELMAX_CHECK(options.seed == prev.seed_);
   const size_t num_edges = universe.num_edges();
   const size_t kept = std::min(num_edges, prev.num_edges());
-  std::vector<EdgeId> redraw;
+  std::vector<EdgeId>& redraw = delta->redrawn;
+  redraw.clear();
   for (size_t e = 0; e < num_edges; ++e) {
     if (e < kept && thresholds_[e] == prev.thresholds_[e]) {
       std::copy_n(prev.up_.row(e), world_words_, up_.row(e));
@@ -127,19 +127,29 @@ WorldBank::WorldBank(const WorldBank& prev, const UncertainGraph& universe,
     }
   }
   DrawRows(redraw, options.num_threads);
-  std::vector<uint64_t>& mask = *changed_worlds;
-  mask.assign(world_words_, 0);
+  std::vector<uint64_t>& changed = delta->changed;
+  std::vector<uint64_t>& lost = delta->lost;
+  changed.assign(world_words_, 0);
+  lost.assign(world_words_, 0);
   for (EdgeId e : redraw) {
     const uint64_t* const after = up_.row(e);
-    const uint64_t* const before = e < kept ? prev.up_.row(e) : nullptr;
+    if (e >= kept) {  // appended: every up world gains the edge
+      for (size_t w = 0; w < world_words_; ++w) changed[w] |= after[w];
+      continue;
+    }
+    const uint64_t* const before = prev.up_.row(e);
     for (size_t w = 0; w < world_words_; ++w) {
-      mask[w] |= before != nullptr ? before[w] ^ after[w] : after[w];
+      changed[w] |= before[w] ^ after[w];
+      lost[w] |= before[w] & ~after[w];
     }
   }
   // Rows the universe no longer has leave every world they were up in.
   for (size_t e = kept; e < prev.num_edges(); ++e) {
     const uint64_t* const gone = prev.up_.row(e);
-    for (size_t w = 0; w < world_words_; ++w) mask[w] |= gone[w];
+    for (size_t w = 0; w < world_words_; ++w) {
+      changed[w] |= gone[w];
+      lost[w] |= gone[w];
+    }
   }
 }
 

@@ -75,18 +75,31 @@ class WorldBank {
   /// universe graph must outlive the bank.
   WorldBank(const UncertainGraph& universe, const Options& options);
 
+  /// What a derive changed: two world-indexed bitsets (world_words() words
+  /// each) and the rows it redrew. Rows are matched by edge id, so the masks
+  /// name the worlds whose edge set changed when rows below
+  /// prev.num_edges() are the same edges, as after UncertainGraph's
+  /// UpdateEdgeProb and AddEdge.
+  struct Delta {
+    /// Worlds whose rows differ from prev's: old XOR new of every redrawn
+    /// row, plus the up worlds of every appended or dropped row.
+    std::vector<uint64_t> changed;
+    /// The changed worlds that lost an edge: some redrawn row went from up
+    /// to down, or a dropped row was up. Every other changed world only
+    /// gained up edges, each set in its redrawn row but not in prev's.
+    std::vector<uint64_t> lost;
+    /// Updated and appended row ids, ascending.
+    std::vector<EdgeId> redrawn;
+  };
+
   /// The bank a fresh fill over `universe` would sample, derived from `prev`
   /// (an earlier bank with the same Z and seed) instead of refilled: rows
   /// whose threshold is unchanged are copied, updated and appended rows are
-  /// redrawn, and rows past universe's edge count are dropped.
-  /// `*changed_worlds` receives the world-indexed bitset of worlds whose
-  /// rows differ from prev's: old XOR new of every redrawn row, plus the up
-  /// worlds of every appended or dropped row. Rows are matched by edge id,
-  /// so the mask names the worlds whose edge set changed when rows below
-  /// prev.num_edges() are the same edges, as after UncertainGraph's
-  /// UpdateEdgeProb and AddEdge.
+  /// redrawn, and rows past universe's edge count are dropped. `*delta`
+  /// receives what changed, computed from the redrawn and dropped rows
+  /// alone — no scan of the copied rows.
   WorldBank(const WorldBank& prev, const UncertainGraph& universe,
-            const Options& options, std::vector<uint64_t>* changed_worlds);
+            const Options& options, Delta* delta);
 
   /// Adopts pre-filled rows instead of sampling — the deserialization path
   /// (index/index_io.h), where `up` wraps an mmap-ed file section. `up` must

@@ -397,6 +397,24 @@ TEST_P(IndexIoCorruptionTest, KeyedDrawPredecessorVersionIsFailedPrecondition) {
   ExpectEngineRebuildFallback();
 }
 
+TEST_P(IndexIoCorruptionTest, FirstAppearanceLabelVersionIsFailedPrecondition) {
+  // Version 3 files hold labels numbered by first appearance in node order.
+  // They answer correctly, but a merge after a write would leave label bits
+  // (and a republished file) unlike a fresh build's. They fail typed, and
+  // the engine rebuilds to the answer a fresh engine gives.
+  std::vector<unsigned char> bytes = pristine_;
+  const uint32_t v3 = 3;
+  std::memcpy(bytes.data() + offsetof(IndexFileHeader, format_version), &v3,
+              sizeof(v3));
+  WriteFileBytes(path_, bytes);
+  std::string message;
+  EXPECT_EQ(LoadCode(&message), StatusCode::kFailedPrecondition);
+  EXPECT_NE(message.find("version 3"), std::string::npos) << message;
+  EXPECT_EQ(InspectIndexFile(path_).status().code(),
+            StatusCode::kFailedPrecondition);
+  ExpectEngineRebuildFallback();
+}
+
 INSTANTIATE_TEST_SUITE_P(Directedness, IndexIoCorruptionTest,
                          ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {

@@ -1,12 +1,17 @@
 // ReliabilityIndex: undirected component labels and directed reach rows must
-// reproduce the word-parallel flood bit-for-bit, incremental maintenance
-// must equal a full rebuild while relabeling only the affected worlds (none
-// for a directed index, which holds no labels), and the directed reach-row
-// cache must evict without changing answers.
+// reproduce the word-parallel flood bit-for-bit, every label must be its
+// component's smallest node id, incremental maintenance (relabel where a
+// world lost an edge, merge where it only gained) must equal a full rebuild
+// bit for bit while touching only the affected worlds (none for a directed
+// index, which holds no labels), and the directed reach-row cache must
+// evict without changing answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +59,62 @@ std::vector<uint64_t> XorAllRows(const WorldBank& a, const WorldBank& b) {
     }
   }
   return mask;
+}
+
+// Node v's label in world w, read back from the planes.
+NodeId LabelOf(const ReliabilityIndex& index, NodeId v, int w) {
+  const size_t world_words = (static_cast<size_t>(index.num_worlds()) + 63) / 64;
+  const std::span<const uint64_t> words = index.label_words();
+  NodeId label = 0;
+  for (int b = 0; b < index.label_bits(); ++b) {
+    const size_t row = static_cast<size_t>(v) * index.label_bits() + b;
+    const uint64_t word = words[row * world_words + (w >> 6)];
+    label |= static_cast<NodeId>((word >> (w & 63)) & 1) << b;
+  }
+  return label;
+}
+
+// Every label of `index` is the smallest node id of its component, checked
+// world by world against a BFS over the bank's up edges.
+void ExpectMinIdLabels(const ReliabilityIndex& index, const WorldBank& bank,
+                       const std::string& what) {
+  const UncertainGraph& g = bank.universe();
+  const std::vector<Edge>& edges = g.EdgesById();
+  for (int w = 0; w < bank.num_worlds(); ++w) {
+    std::vector<std::vector<NodeId>> adjacent(g.num_nodes());
+    for (size_t e = 0; e < bank.num_edges(); ++e) {
+      if (!bank.EdgePresent(w, static_cast<EdgeId>(e))) continue;
+      adjacent[edges[e].src].push_back(edges[e].dst);
+      adjacent[edges[e].dst].push_back(edges[e].src);
+    }
+    std::vector<NodeId> component(g.num_nodes(), kInvalidNode);
+    for (NodeId root = 0; root < g.num_nodes(); ++root) {
+      if (component[root] != kInvalidNode) continue;
+      // Ascending roots: the first node to reach a component is its minimum.
+      std::vector<NodeId> queue{root};
+      component[root] = root;
+      for (size_t head = 0; head < queue.size(); ++head) {
+        for (NodeId next : adjacent[queue[head]]) {
+          if (component[next] != kInvalidNode) continue;
+          component[next] = root;
+          queue.push_back(next);
+        }
+      }
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(LabelOf(index, v, w), component[v])
+          << what << ": world " << w << " node " << v;
+    }
+  }
+}
+
+void ExpectSameLabelWords(const ReliabilityIndex& got,
+                          const ReliabilityIndex& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.label_bits(), want.label_bits()) << what;
+  const std::span<const uint64_t> a = got.label_words();
+  const std::span<const uint64_t> b = want.label_words();
+  ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << what;
 }
 
 TEST(ReliabilityIndexTest, ConnectedWorldsMatchFloodBitwise) {
@@ -117,10 +178,14 @@ TEST(ReliabilityIndexTest, DeriveMaskFindsExactlyTheChangedWorlds) {
   const WorldBank before(g, {.num_samples = 200, .seed = 21});
   const Edge edge = g.EdgesById()[1];
   ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.5).ok());
-  std::vector<uint64_t> mask;
-  const WorldBank after(before, g, {.num_samples = 200, .seed = 21}, &mask);
+  WorldBank::Delta delta;
+  const WorldBank after(before, g, {.num_samples = 200, .seed = 21}, &delta);
+  const std::vector<uint64_t>& mask = delta.changed;
 
   EXPECT_EQ(mask, XorAllRows(before, after));
+  EXPECT_EQ(delta.redrawn, std::vector<EdgeId>{1});
+  // Lowering p only takes the edge away: every changed world lost it.
+  EXPECT_EQ(delta.lost, mask);
   for (int w = 0; w < 200; ++w) {
     bool differs = false;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -150,10 +215,12 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateEqualsFullRebuild) {
 
     const Edge edge = g.EdgesById()[0];
     ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.6).ok());
-    std::vector<uint64_t> mask;
-    const WorldBank after(before, g, {.num_samples = 256, .seed = 13}, &mask);
+    WorldBank::Delta delta;
+    const WorldBank after(before, g, {.num_samples = 256, .seed = 13}, &delta);
+    const std::vector<uint64_t>& mask = delta.changed;
     EXPECT_EQ(mask, XorAllRows(before, after));
-    incremental.ApplyBankUpdate(after, mask);
+    EXPECT_EQ(delta.lost, mask);  // p went down: the union-find path
+    incremental.ApplyBankUpdate(after, delta);
     EXPECT_EQ(incremental.stats().incremental_updates, 1u);
     // A directed index holds no labels: the update only swaps the bank.
     EXPECT_EQ(incremental.stats().last_update_worlds,
@@ -162,6 +229,7 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateEqualsFullRebuild) {
     EXPECT_LT(incremental.stats().last_update_worlds, 256u);
 
     ReliabilityIndex rebuilt(after, {});
+    ExpectSameLabelWords(incremental, rebuilt, "update down");
     for (NodeId s = 0; s < g.num_nodes(); ++s) {
       for (NodeId t = 0; t < g.num_nodes(); ++t) {
         EXPECT_EQ(incremental.ConnectedWorlds(s, t),
@@ -185,19 +253,23 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateHandlesAppendedEdges) {
     }
   }
   ASSERT_TRUE(g.AddEdge(u, v, 0.5).ok());
-  std::vector<uint64_t> mask;
-  const WorldBank after(before, g, {.num_samples = 192, .seed = 17}, &mask);
+  WorldBank::Delta delta;
+  const WorldBank after(before, g, {.num_samples = 192, .seed = 17}, &delta);
+  const std::vector<uint64_t>& mask = delta.changed;
   // Appending redraws no existing row: the changed worlds are exactly those
-  // the new edge is up in.
+  // the new edge is up in, and none lost an edge (the merge path).
   EXPECT_EQ(mask, XorAllRows(before, after));
   const EdgeId added = static_cast<EdgeId>(g.num_edges() - 1);
   const std::span<const uint64_t> added_row = after.EdgeUpWorlds(added);
   EXPECT_EQ(mask, std::vector<uint64_t>(added_row.begin(), added_row.end()));
-  incremental.ApplyBankUpdate(after, mask);
+  EXPECT_EQ(delta.lost, std::vector<uint64_t>(mask.size(), 0));
+  EXPECT_EQ(delta.redrawn, std::vector<EdgeId>{added});
+  incremental.ApplyBankUpdate(after, delta);
   EXPECT_EQ(incremental.stats().last_update_worlds,
             static_cast<size_t>(WorldBank::CountBits(mask, 192)));
 
   ReliabilityIndex rebuilt(after, {});
+  ExpectSameLabelWords(incremental, rebuilt, "addedge");
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
       EXPECT_EQ(incremental.ConnectedWorlds(s, t),
@@ -220,9 +292,9 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateResetsReachCacheStats) {
 
   const Edge edge = g.EdgesById()[0];
   ASSERT_TRUE(g.UpdateEdgeProb(edge.src, edge.dst, edge.prob * 0.7).ok());
-  std::vector<uint64_t> mask;
-  const WorldBank after(before, g, {.num_samples = 256, .seed = 29}, &mask);
-  incremental.ApplyBankUpdate(after, mask);
+  WorldBank::Delta delta;
+  const WorldBank after(before, g, {.num_samples = 256, .seed = 29}, &delta);
+  incremental.ApplyBankUpdate(after, delta);
   EXPECT_EQ(incremental.stats().reach_floods, 0u);
   EXPECT_EQ(incremental.stats().reach_rows_cached, 0u);
   EXPECT_EQ(incremental.stats().reach_row_evictions, 0u);
@@ -238,6 +310,96 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateResetsReachCacheStats) {
   EXPECT_EQ(incremental.stats().reach_floods, rebuilt.stats().reach_floods);
   EXPECT_EQ(incremental.stats().reach_rows_cached,
             rebuilt.stats().reach_rows_cached);
+}
+
+TEST(ReliabilityIndexTest, LabelsAreSmallestNodeIdOfComponent) {
+  // Sparse graphs keep several components per world, so labels other than 0
+  // and merges of two nonzero labels both occur.
+  for (const uint64_t seed : {151, 157, 163}) {
+    UncertainGraph g = RandomGraph(seed, 11, 0.12, false);
+    const WorldBank::Options options{.num_samples = 130, .seed = seed};
+    auto bank = std::make_unique<WorldBank>(g, options);
+    ReliabilityIndex index(*bank, {});
+    ExpectMinIdLabels(index, *bank, "fresh build");
+    // Maintained labels keep the contract: two appended edges (merges) and
+    // an update down (union-find).
+    const Edge first = g.EdgesById()[0];
+    ASSERT_TRUE(g.UpdateEdgeProb(first.src, first.dst, first.prob / 2).ok());
+    for (NodeId u : {NodeId{0}, NodeId{5}}) {
+      NodeId v = u + 1;
+      while (g.HasEdge(u, v)) ++v;
+      ASSERT_TRUE(g.AddEdge(u, v, 0.6).ok());
+    }
+    WorldBank::Delta delta;
+    auto next = std::make_unique<WorldBank>(*bank, g, options, &delta);
+    index.ApplyBankUpdate(*next, delta);
+    bank = std::move(next);
+    ExpectMinIdLabels(index, *bank, "after three writes");
+  }
+}
+
+// The label contract that makes merges exact: after every write of a long
+// mixed sequence, the incrementally maintained planes equal a fresh build's
+// over the same bank, word for word, at any relabel lane count.
+TEST(ReliabilityIndexTest, IncrementalLabelsEqualFreshBuildBitwise) {
+  struct Write {
+    NodeId u, v;
+    double p;
+  };
+  for (const int threads : {1, 4}) {
+    for (const uint64_t seed : {167, 173}) {
+      UncertainGraph g = RandomGraph(seed, 16, 0.15, false);
+      // 200 worlds: three full words and a partial tail word.
+      const WorldBank::Options options{.num_samples = 200, .seed = seed};
+      auto bank = std::make_unique<WorldBank>(g, options);
+      ReliabilityIndex index(*bank, {.num_threads = threads});
+      // Updates to and from the no-draw probabilities 0 and 1 (down, up,
+      // up, down), then a random mix of updates down, updates up and
+      // appended edges.
+      const Edge pinned = g.EdgesById()[2];
+      std::vector<Write> writes = {{pinned.src, pinned.dst, 0.0},
+                                   {pinned.src, pinned.dst, 0.7},
+                                   {pinned.src, pinned.dst, 1.0},
+                                   {pinned.src, pinned.dst, 0.3}};
+      Rng rng(seed + 1);
+      int downs = 0, ups = 0, appends = 0;
+      while (writes.size() < 24) {
+        NodeId u = static_cast<NodeId>(rng.NextUint64(g.num_nodes()));
+        NodeId v = static_cast<NodeId>(rng.NextUint64(g.num_nodes()));
+        if (rng.NextBernoulli(0.5)) {  // an existing edge: an update
+          const Edge& edge = g.EdgesById()[rng.NextUint64(g.num_edges())];
+          u = edge.src;
+          v = edge.dst;
+        }
+        if (u == v) continue;
+        writes.push_back({u, v, rng.NextDouble(0.05, 0.95)});
+      }
+      for (size_t i = 0; i < writes.size(); ++i) {
+        const Write& w = writes[i];
+        const std::optional<EdgeId> existing = g.EdgeIndexOf(w.u, w.v);
+        if (existing.has_value()) {
+          const double old_p = g.EdgeProbs()[*existing];
+          (w.p < old_p ? downs : ups) += 1;
+          ASSERT_TRUE(g.UpdateEdgeProb(w.u, w.v, w.p).ok());
+        } else {
+          ++appends;
+          ASSERT_TRUE(g.AddEdge(w.u, w.v, w.p).ok());
+        }
+        WorldBank::Delta delta;
+        auto next = std::make_unique<WorldBank>(*bank, g, options, &delta);
+        index.ApplyBankUpdate(*next, delta);
+        bank = std::move(next);
+        const ReliabilityIndex fresh(*bank, {.num_threads = threads});
+        ExpectSameLabelWords(index, fresh,
+                             "threads " + std::to_string(threads) + " seed " +
+                                 std::to_string(seed) + " write " +
+                                 std::to_string(i));
+      }
+      EXPECT_GE(downs, 3);
+      EXPECT_GE(ups, 3);
+      EXPECT_GE(appends, 3);
+    }
+  }
 }
 
 TEST(ReliabilityIndexTest, ReachRowCacheEvictsWithoutChangingAnswers) {

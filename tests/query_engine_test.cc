@@ -5,8 +5,10 @@
 // one shared engine. Carries the `sanitize` CTest label for the latter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -487,6 +489,56 @@ TEST(QueryEngineTest, IndexSyncRelabelsOnlyAffectedWorlds) {
   const auto expected2 = fresh2.Answer(set);
   ASSERT_TRUE(expected2.ok());
   EXPECT_EQ(extended->st_values, expected2->st_values);
+}
+
+// One in-place resync over three mutations at once (an update down, an
+// appended edge and an update up) derives one bank with three redrawn rows:
+// world words where some worlds lost an edge (relabeled) and others only
+// gained one (merged). The maintained label planes equal a fresh engine's.
+TEST(QueryEngineTest, ResyncOverSeveralWritesMatchesFreshLabelWords) {
+  UncertainGraph g = RandomGraph(83, 14, 0.2, false);
+  QueryEngineOptions options = EngineOptions(512);
+  options.use_index = true;
+  QueryEngine engine(g, options);
+  QuerySet set;
+  for (NodeId t = 1; t < 14; ++t) set.AddSt(0, t);
+  ASSERT_TRUE(engine.Answer(set).ok());
+  const WorldBank::Options bank_options{.num_samples = options.num_samples,
+                                        .seed = options.seed};
+  const WorldBank before(g, bank_options);
+
+  const Edge down = g.EdgesById()[0];
+  const Edge up = g.EdgesById()[1];
+  ASSERT_TRUE(g.UpdateEdgeProb(down.src, down.dst, down.prob * 0.4).ok());
+  NodeId v = 1;
+  while (g.HasEdge(0, v)) ++v;
+  ASSERT_TRUE(g.AddEdge(0, v, 0.5).ok());
+  ASSERT_TRUE(
+      g.UpdateEdgeProb(up.src, up.dst, up.prob + (1 - up.prob) * 0.6).ok());
+  // The derive the resync runs: both kernels share at least one word.
+  WorldBank::Delta delta;
+  const WorldBank after(before, g, bank_options, &delta);
+  EXPECT_EQ(delta.redrawn.size(), 3u);
+  bool shared_word = false;
+  for (size_t w = 0; w < delta.changed.size(); ++w) {
+    shared_word = shared_word || (delta.lost[w] != 0 &&
+                                  (delta.changed[w] & ~delta.lost[w]) != 0);
+  }
+  EXPECT_TRUE(shared_word);
+
+  const auto answers = engine.Answer(set);
+  ASSERT_TRUE(answers.ok());
+  ASSERT_NE(engine.index(), nullptr);
+  EXPECT_EQ(engine.index()->stats().builds, 1u);
+  EXPECT_EQ(engine.index()->stats().incremental_updates, 1u);
+  QueryEngine fresh(g, options);
+  const auto expected = fresh.Answer(set);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(answers->st_values, expected->st_values);
+  ASSERT_NE(fresh.index(), nullptr);
+  const std::span<const uint64_t> got = engine.index()->label_words();
+  const std::span<const uint64_t> want = fresh.index()->label_words();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
 }
 
 // The successor constructor (the serve writer's path) derives the next

@@ -369,6 +369,20 @@ std::vector<uint64_t> XorAllRows(const WorldBank& a, const WorldBank& b) {
   return mask;
 }
 
+// Worlds where some edge is up in `a` but not in `b`, by brute force over
+// every row `a` holds (a row only `a` holds is down in `b`).
+std::vector<uint64_t> LostAllRows(const WorldBank& a, const WorldBank& b) {
+  std::vector<uint64_t> mask(a.world_words(), 0);
+  for (size_t e = 0; e < a.num_edges(); ++e) {
+    for (size_t w = 0; w < mask.size(); ++w) {
+      const EdgeId id = static_cast<EdgeId>(e);
+      const uint64_t in_b = e < b.num_edges() ? b.EdgeUpWorlds(id)[w] : 0;
+      mask[w] |= a.EdgeUpWorlds(id)[w] & ~in_b;
+    }
+  }
+  return mask;
+}
+
 TEST(WorldBankTest, UpdatingOneEdgeRedrawsOnlyItsRowMonotonically) {
   UncertainGraph g = ManyEdgeGraph(41);
   const WorldBank::Options options{.num_samples = 700, .seed = 43};
@@ -432,12 +446,18 @@ TEST(WorldBankTest, DeriveEqualsFreshFillAcrossWrites) {
       ASSERT_TRUE((g.HasEdge(w.u, w.v) ? g.UpdateEdgeProb(w.u, w.v, w.p)
                                        : g.AddEdge(w.u, w.v, w.p))
                       .ok());
-      std::vector<uint64_t> mask;
-      auto derived = std::make_unique<WorldBank>(*bank, g, options, &mask);
+      WorldBank::Delta delta;
+      auto derived = std::make_unique<WorldBank>(*bank, g, options, &delta);
       const std::string what =
           "threads " + std::to_string(threads) + " write " + std::to_string(i);
       ExpectSameBits(*derived, WorldBank(g, options), what);
-      EXPECT_EQ(mask, XorAllRows(*bank, *derived)) << what;
+      EXPECT_EQ(delta.changed, XorAllRows(*bank, *derived)) << what;
+      EXPECT_EQ(delta.lost, LostAllRows(*bank, *derived)) << what;
+      // Each write changes one edge's probability or appends it: that row,
+      // and only it, is redrawn.
+      EXPECT_EQ(delta.redrawn,
+                std::vector<EdgeId>{*g.EdgeIndexOf(w.u, w.v)})
+          << what;
       bank = std::move(derived);
     }
   }
@@ -463,10 +483,13 @@ TEST(WorldBankTest, DeriveFromLoadedRowsRecomputesThresholds) {
   NodeId v = 1;
   while (g.HasEdge(0, v)) ++v;
   ASSERT_TRUE(g.AddEdge(0, v, 0.5).ok());
-  std::vector<uint64_t> mask;
-  const WorldBank derived(adopted, g, options, &mask);
+  WorldBank::Delta delta;
+  const WorldBank derived(adopted, g, options, &delta);
   ExpectSameBits(derived, WorldBank(g, options), "derived from adopted rows");
-  EXPECT_EQ(mask, XorAllRows(filled, derived));
+  EXPECT_EQ(delta.changed, XorAllRows(filled, derived));
+  EXPECT_EQ(delta.lost, LostAllRows(filled, derived));
+  EXPECT_EQ(delta.redrawn,
+            (std::vector<EdgeId>{5, static_cast<EdgeId>(g.num_edges() - 1)}));
 }
 
 }  // namespace

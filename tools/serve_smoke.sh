@@ -5,8 +5,10 @@
 # through the real CLI. Also checks the typed-shed path (--max-queue 0) and
 # that an `update` republish changes subsequent answers without breaking the
 # stream, and serves the same queries over TCP (--port 0) to a client that
-# half-closes its side before reading. Run under ASan (the serve-smoke CI job
-# does) and a leaked thread, socket, or graph copy fails the job.
+# half-closes its side before reading, and diffs indexed serve passes across
+# writes (directed reach rows, then undirected label planes) against
+# `relmax batch --index`. Run under ASan (the serve-smoke CI job does) and a
+# leaked thread, socket, or graph copy fails the job.
 #
 # usage: serve_smoke.sh /path/to/relmax [workdir]
 set -euo pipefail
@@ -183,5 +185,53 @@ grep -q '^OK epoch=2' "$WORK/indexed.out" || {
 grep -q '^OK bye$' "$WORK/indexed.out" || {
   echo "FAIL: indexed stream did not end with a clean OK bye" >&2; exit 1; }
 echo "OK: indexed serve rows identical to batch --index rows across 2 writes"
+
+echo "== undirected indexed serve (--index --lanes 2) across writes =="
+# The same check over component-label planes. An update down makes the
+# worlds that lost the edge relabel from scratch; an update up and an
+# addedge only add edges, so their worlds merge components instead. Each
+# file below is the edge list after one more write, in the daemon's id order.
+cat > "$WORK/ugraph.txt" <<'EOF'
+# relmax-graph v1
+undirected 6
+0 1 0.8
+1 2 0.6
+2 3 0.5
+3 4 0.7
+1 4 0.4
+EOF
+sed 's/^1 2 0.6$/1 2 0.3/' "$WORK/ugraph.txt" > "$WORK/ugraph_down.txt"
+sed 's/^3 4 0.7$/3 4 0.9/' "$WORK/ugraph_down.txt" > "$WORK/ugraph_up.txt"
+{ cat "$WORK/ugraph_up.txt"; echo "4 5 0.5"; } > "$WORK/ugraph_added.txt"
+printf '0 3\n0 4\n2 4\n0 5\n5 3\n1 3\n' > "$WORK/uqueries.txt"
+{
+  echo "# undirected indexed serve-smoke stream"
+  for write in "update 1 2 0.3" "update 3 4 0.9" "addedge 4 5 0.5" ""; do
+    while read -r s t; do echo "query $s $t"; done < "$WORK/uqueries.txt"
+    if [ -n "$write" ]; then echo "$write"; fi
+  done
+  echo "stats"
+  echo "quit"
+} > "$WORK/uindexed_stream.txt"
+"$CLI" serve --graph "$WORK/ugraph.txt" --samples $SAMPLES --seed $SEED \
+  --index --lanes 2 < "$WORK/uindexed_stream.txt" | tee "$WORK/uindexed.out"
+for g in ugraph ugraph_down ugraph_up ugraph_added; do
+  "$CLI" batch --graph "$WORK/$g.txt" --queries "$WORK/uqueries.txt" \
+    --samples $SAMPLES --seed $SEED --index > "$WORK/$g.index.out"
+  cat "$WORK/$g.index.out" >&2
+  grep '^R(' "$WORK/$g.index.out"
+done > "$WORK/uindexed_batch.rows"
+grep '^R(' "$WORK/uindexed.out" > "$WORK/uindexed_serve.rows"
+if ! diff -u "$WORK/uindexed_batch.rows" "$WORK/uindexed_serve.rows"; then
+  echo "FAIL: undirected indexed serve answers differ from batch --index" >&2
+  exit 1
+fi
+grep -q '^OK epoch=3' "$WORK/uindexed.out" || {
+  echo "FAIL: the three writes did not publish epoch 3" >&2; exit 1; }
+grep -q '^OK bye$' "$WORK/uindexed.out" || {
+  echo "FAIL: undirected indexed stream did not end with a clean OK bye" >&2
+  exit 1; }
+echo "OK: undirected indexed serve rows identical to batch --index rows" \
+  "across 3 writes"
 
 echo "serve-smoke: PASS"
