@@ -139,24 +139,31 @@ BENCHMARK(BM_SearchSpaceElimination)->Arg(20)->Arg(50)->Arg(100);
 
 // The word-parallel reachability fixpoint — the inner kernel behind
 // WorldBank selection, batch queries, and the index's lazy reach rows. One
-// iteration floods all Z worlds from s over the full edge set into a reused
-// scratch, so worlds/sec here is the number every shared-world consumer
-// ultimately pays.
+// iteration floods all Z worlds from one source s over the full edge set,
+// fanned out over world ranges on the second arg's workers as a one-source
+// query batch does (WorldBank::FloodSources; 1 worker floods whole rows
+// into a reused scratch), so worlds/sec here is the number every
+// shared-world consumer ultimately pays for one cold source.
 void BM_ReachabilityFixpoint(benchmark::State& state) {
   const auto [s, t] = TestQuery();
   (void)t;
   const int z = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
   const WorldBank bank(TestGraph().graph,
                        {.num_samples = z, .seed = 29, .num_threads = 1});
-  const std::vector<EdgeId> active = bank.AllEdges();
-  bitlane::BitMatrix reach;
+  const std::vector<NodeId> sources = {s};
   for (auto _ : state) {
-    bank.ReachabilityFixpoint(s, /*backward=*/false, active, &reach);
-    benchmark::DoNotOptimize(reach);
+    bank.FloodSources(
+        sources, workers,
+        [](size_t, size_t, size_t, const bitlane::BitMatrix& reach) {
+          benchmark::DoNotOptimize(reach.row(0));
+        });
   }
   state.SetItemsProcessed(state.iterations() * z);
 }
-BENCHMARK(BM_ReachabilityFixpoint)->Arg(500)->Arg(2000)->Arg(8000);
+BENCHMARK(BM_ReachabilityFixpoint)
+    ->ArgsProduct({{500, 2000, 8000}, {1, 2, 4}})
+    ->UseRealTime();
 
 // Bank fill: sampling Z worlds over every edge into the bit-matrix. One
 // iteration is one full bank construction (the once-per-solve cost that
@@ -225,7 +232,7 @@ void BM_IndexApplyBankUpdate(benchmark::State& state) {
   const ReliabilityIndex base(prev, {});
   for (auto _ : state) {
     state.PauseTiming();
-    std::unique_ptr<ReliabilityIndex> index = base.Clone(/*num_threads=*/1);
+    std::unique_ptr<ReliabilityIndex> index = base.Clone();
     state.ResumeTiming();
     index->ApplyBankUpdate(next, delta);
     benchmark::DoNotOptimize(index->label_words().data());

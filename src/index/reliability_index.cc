@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "sampling/parallel.h"
@@ -98,11 +99,8 @@ ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                      label_bits_ * world_words_);
 }
 
-std::unique_ptr<ReliabilityIndex> ReliabilityIndex::Clone(
-    int num_threads) const {
-  Options options = options_;
-  options.num_threads = num_threads;
-  return std::make_unique<ReliabilityIndex>(*bank_, options, labels_);
+std::unique_ptr<ReliabilityIndex> ReliabilityIndex::Clone() const {
+  return std::make_unique<ReliabilityIndex>(*bank_, options_, labels_);
 }
 
 void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
@@ -205,22 +203,41 @@ void ReliabilityIndex::MergeWord(size_t word, NodeId a, NodeId b,
   }
 }
 
-std::shared_ptr<const bitlane::BitMatrix> ReliabilityIndex::SourceReach(
-    NodeId s) const {
-  {
-    std::lock_guard<std::mutex> lock(reach_mu_);
-    const auto it = reach_cache_.find(s);
-    if (it != reach_cache_.end()) return it->second;
+size_t ReliabilityIndex::ReachMatrixBytes() const {
+  const size_t stride = bank_->lane_blocks() * bitlane::kLaneWords;
+  return static_cast<size_t>(num_nodes_) * stride * sizeof(uint64_t);
+}
+
+std::vector<ReliabilityIndex::ReachMatrix> ReliabilityIndex::FloodSources(
+    const std::vector<NodeId>& sources) const {
+  std::vector<std::shared_ptr<bitlane::BitMatrix>> fresh;
+  fresh.reserve(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    // Mapped: an evicted matrix's pages go back to the OS, not to the
+    // arena of whichever thread dropped the last reference.
+    fresh.push_back(
+        std::make_shared<bitlane::BitMatrix>(bitlane::BitMatrix::Mapped()));
+    fresh.back()->EnsureShape(num_nodes_, world_words_);
   }
-  auto reach = std::make_shared<bitlane::BitMatrix>();
-  bank_->ReachabilityFixpoint(s, /*backward=*/false, bank_->AllEdges(),
-                              reach.get());
-  std::lock_guard<std::mutex> lock(reach_mu_);
+  // Each shard copies its range's columns into its source's matrix: shards
+  // write disjoint words, and the pad words stay zero.
+  bank_->FloodSources(
+      sources, options_.num_threads,
+      [&](size_t i, size_t, size_t first_word,
+          const bitlane::BitMatrix& reach) {
+        bitlane::BitMatrix& whole = *fresh[i];
+        for (NodeId v = 0; v < num_nodes_; ++v) {
+          std::copy_n(reach.row(v), reach.words(), whole.row(v) + first_word);
+        }
+      });
+  return {fresh.begin(), fresh.end()};
+}
+
+void ReliabilityIndex::CacheReach(NodeId s, const ReachMatrix& reach) const {
   ++stats_.reach_floods;
-  if (!reach_cache_.emplace(s, reach).second) return reach;  // raced: same bits
+  if (!reach_cache_.emplace(s, reach).second) return;  // raced: same bits
   reach_order_.push_back(s);
-  const size_t matrix_bytes =
-      reach->rows() * reach->stride_words() * sizeof(uint64_t);
+  const size_t matrix_bytes = ReachMatrixBytes();
   reach_bytes_ += matrix_bytes;
   // FIFO eviction under the byte cap (all matrices have one shape). A matrix
   // over the whole cap goes too; the caller's reference keeps it alive.
@@ -231,7 +248,100 @@ std::shared_ptr<const bitlane::BitMatrix> ReliabilityIndex::SourceReach(
     ++stats_.reach_row_evictions;
   }
   stats_.reach_rows_cached = reach_cache_.size();
+}
+
+ReliabilityIndex::ReachMatrix ReliabilityIndex::SourceReach(NodeId s) const {
+  {
+    std::lock_guard<std::mutex> lock(reach_mu_);
+    const auto it = reach_cache_.find(s);
+    if (it != reach_cache_.end()) return it->second;
+  }
+  ReachMatrix reach = std::move(FloodSources({s}).front());
+  std::lock_guard<std::mutex> lock(reach_mu_);
+  CacheReach(s, reach);
   return reach;
+}
+
+std::vector<double> ReliabilityIndex::QueryBatch(
+    std::span<const NodeId> sources, std::span<const NodeId> targets) const {
+  RELMAX_CHECK(sources.size() == targets.size());
+  std::vector<double> values(sources.size());
+  if (!directed_) {
+    for (size_t i = 0; i < sources.size(); ++i) {
+      values[i] = Query(sources[i], targets[i]);
+    }
+    return values;
+  }
+  const size_t matrix_bytes = ReachMatrixBytes();
+  std::vector<ReachMatrix> reach_of(sources.size());
+  for (size_t begin = 0; begin < sources.size();) {
+    // Plan one run under the lock by replaying, pair by pair, what Query()
+    // would do to the cache: a cached source is captured as a hit; a cold
+    // one joins `cold`, is inserted into the simulated FIFO and may evict
+    // an earlier entry there (a later pair from an evicted source is cold
+    // again). Every pair's matrix is fixed here, so the cache may change
+    // under the floods without changing an answer.
+    std::vector<NodeId> cold;
+    std::vector<size_t> cold_pairs;  // pairs to fill from cold's floods
+    std::unordered_map<NodeId, size_t> cold_slot;
+    size_t end = begin;
+    {
+      std::lock_guard<std::mutex> lock(reach_mu_);
+      std::deque<NodeId> order = reach_order_;
+      std::unordered_set<NodeId> evicted;
+      size_t bytes = reach_bytes_;
+      for (; end < sources.size(); ++end) {
+        const NodeId s = sources[end];
+        const bool live = evicted.count(s) == 0;
+        if (live && cold_slot.count(s) != 0) {
+          cold_pairs.push_back(end);
+          continue;
+        }
+        if (live) {
+          const auto it = reach_cache_.find(s);
+          if (it != reach_cache_.end()) {
+            reach_of[end] = it->second;
+            continue;
+          }
+        }
+        if (cold_slot.count(s) != 0) break;  // would flood s twice
+        if (!cold.empty() && (cold.size() + 1) * matrix_bytes >
+                                 options_.max_reach_bytes) {
+          break;  // the run's fresh matrices are at the cap
+        }
+        cold_slot.emplace(s, cold.size());
+        cold.push_back(s);
+        cold_pairs.push_back(end);
+        evicted.erase(s);
+        order.push_back(s);
+        bytes += matrix_bytes;
+        while (bytes > options_.max_reach_bytes) {
+          evicted.insert(order.front());
+          order.pop_front();
+          bytes -= matrix_bytes;
+        }
+      }
+    }
+    if (!cold.empty()) {
+      const std::vector<ReachMatrix> fresh = FloodSources(cold);
+      {
+        std::lock_guard<std::mutex> lock(reach_mu_);
+        for (size_t i = 0; i < cold.size(); ++i) CacheReach(cold[i], fresh[i]);
+      }
+      for (size_t idx : cold_pairs) {
+        reach_of[idx] = fresh[cold_slot.at(sources[idx])];
+      }
+    }
+    for (size_t idx = begin; idx < end; ++idx) {
+      values[idx] = static_cast<double>(WorldBank::CountBits(
+                        reach_of[idx]->row_span(targets[idx]),
+                        static_cast<size_t>(num_worlds_))) /
+                    num_worlds_;
+      reach_of[idx].reset();
+    }
+    begin = end;
+  }
+  return values;
 }
 
 size_t ReliabilityIndex::reach_cache_bytes() const {
@@ -249,7 +359,7 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
   if (directed_) {
     // The flood seeds s in every world, so row s is all worlds for s == t.
-    const std::shared_ptr<const bitlane::BitMatrix> reach = SourceReach(s);
+    const ReachMatrix reach = SourceReach(s);
     const std::span<const uint64_t> row = reach->row_span(t);
     return std::vector<uint64_t>(row.begin(), row.end());
   }
@@ -271,10 +381,32 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
 }
 
 double ReliabilityIndex::Query(NodeId s, NodeId t) const {
-  return static_cast<double>(
-             WorldBank::CountBits(ConnectedWorlds(s, t),
-                                  static_cast<size_t>(num_worlds_))) /
-         num_worlds_;
+  RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
+  int64_t count = 0;
+  if (directed_) {
+    count = WorldBank::CountBits(SourceReach(s)->row_span(t),
+                                 static_cast<size_t>(num_worlds_));
+  } else {
+    // ConnectedWorlds' ~OR_b(plane_b(s) XOR plane_b(t)), counted word by
+    // word; the last word's tail worlds are masked out.
+    const uint64_t* const sp =
+        labels_.data() + static_cast<size_t>(s) * label_bits_ * world_words_;
+    const uint64_t* const tp =
+        labels_.data() + static_cast<size_t>(t) * label_bits_ * world_words_;
+    for (size_t w = 0; w < world_words_; ++w) {
+      uint64_t diff = 0;
+      for (int b = 0; b < label_bits_; ++b) {
+        const size_t at = static_cast<size_t>(b) * world_words_ + w;
+        diff |= sp[at] ^ tp[at];
+      }
+      uint64_t equal = ~diff;
+      if (w + 1 == world_words_ && (num_worlds_ & 63) != 0) {
+        equal &= (uint64_t{1} << (num_worlds_ & 63)) - 1;
+      }
+      count += __builtin_popcountll(equal);
+    }
+  }
+  return static_cast<double>(count) / num_worlds_;
 }
 
 void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,

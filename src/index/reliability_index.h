@@ -74,8 +74,9 @@ namespace relmax {
 /// depend on cache state: eviction changes which floods re-run, never their
 /// results.
 ///
-/// Query / ConnectedWorlds are thread-safe: a mutex guards the reach cache
-/// for lookups and inserts only, and cold sources flood outside it.
+/// Query / QueryBatch / ConnectedWorlds are thread-safe: a mutex guards the
+/// reach cache for lookups and inserts only, and cold sources flood outside
+/// it.
 class ReliabilityIndex {
  public:
   struct Options {
@@ -86,8 +87,8 @@ class ReliabilityIndex {
     /// Cap on the bytes the directed lazy reach cache's matrices hold (n
     /// lane-padded rows of Z bits per source). Oldest sources go first.
     size_t max_reach_bytes = size_t{64} << 20;
-    /// Lanes used while (re)labeling; <= 0 means all hardware threads. The
-    /// stored bits do not depend on it.
+    /// Lanes used while (re)labeling and flooding cold directed sources;
+    /// <= 0 means all hardware threads. No bit depends on it.
     int num_threads = 1;
   };
 
@@ -139,19 +140,31 @@ class ReliabilityIndex {
   /// Label-plane bytes of an undirected index over (num_nodes, num_samples).
   static size_t LabelBytes(NodeId num_nodes, int num_samples);
 
-  /// R(s, t): fraction of worlds where t is reachable from s. Directed
-  /// queries may populate the lazy reach cache; answers are independent of
-  /// cache state.
+  /// R(s, t): fraction of worlds where t is reachable from s, popcounted in
+  /// place from the label planes or the cached reach row. Directed queries
+  /// may populate the lazy reach cache; answers are independent of cache
+  /// state.
   double Query(NodeId s, NodeId t) const;
+
+  /// Query(sources[i], targets[i]) for every i, in order: the same answers,
+  /// reach-cache insertions, FIFO evictions and reach_* counters as those
+  /// calls made one after another. A directed index floods each run of
+  /// cold sources together, fanned out over (source × world range) shards
+  /// on options.num_threads workers (WorldBank::FloodSources); a run ends
+  /// before its fresh matrices would exceed max_reach_bytes (it always
+  /// holds at least one) or before a source it already flooded would flood
+  /// again.
+  std::vector<double> QueryBatch(std::span<const NodeId> sources,
+                                 std::span<const NodeId> targets) const;
 
   /// World-indexed bitset with bit w set iff t is reachable from s in world
   /// w — bit-identical to ReachabilityFixpoint over the same bank.
   std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t) const;
 
   /// A copy of the label planes over the same bank, as the label-adopting
-  /// constructor makes it, with `num_threads` relabel lanes: the start of a
-  /// successor index (ApplyBankUpdate) while this one keeps answering.
-  std::unique_ptr<ReliabilityIndex> Clone(int num_threads) const;
+  /// constructor makes it, with the same options: the start of a successor
+  /// index (ApplyBankUpdate) while this one keeps answering.
+  std::unique_ptr<ReliabilityIndex> Clone() const;
 
   /// Moves the index from the bank it holds to `fresh`, the bank the
   /// WorldBank derive constructor made from it, given that derive's `delta`.
@@ -194,9 +207,24 @@ class ReliabilityIndex {
   // the components after adding up-edge (a, b) to those worlds.
   void MergeWord(size_t word, NodeId a, NodeId b, uint64_t worlds);
 
+  using ReachMatrix = std::shared_ptr<const bitlane::BitMatrix>;
+
   // The reach matrix for `s` (row v = worlds where v is reachable from s),
   // flooding on first use.
-  std::shared_ptr<const bitlane::BitMatrix> SourceReach(NodeId s) const;
+  ReachMatrix SourceReach(NodeId s) const;
+
+  // Whole-row reach matrices of `sources`, flooded through the bank's
+  // (source × world range) fan-out on options_.num_threads workers.
+  std::vector<ReachMatrix> FloodSources(
+      const std::vector<NodeId>& sources) const;
+
+  // Counts the flood of `s` and caches `reach` as its matrix (unless a
+  // racing query cached it first), evicting FIFO under max_reach_bytes.
+  // Requires reach_mu_.
+  void CacheReach(NodeId s, const ReachMatrix& reach) const;
+
+  // Bytes of one reach matrix: n lane-padded rows of Z bits.
+  size_t ReachMatrixBytes() const;
 
   const WorldBank* bank_;  // replaced by ApplyBankUpdate
   Options options_;
@@ -212,9 +240,7 @@ class ReliabilityIndex {
   // matrix is shared with in-flight queries, so eviction never frees rows a
   // reader is still counting.
   mutable std::mutex reach_mu_;
-  mutable std::unordered_map<NodeId,
-                             std::shared_ptr<const bitlane::BitMatrix>>
-      reach_cache_;
+  mutable std::unordered_map<NodeId, ReachMatrix> reach_cache_;
   mutable std::deque<NodeId> reach_order_;
   mutable size_t reach_bytes_ = 0;
   mutable Stats stats_;

@@ -7,7 +7,6 @@
 #include "common/memory.h"
 #include "common/timer.h"
 #include "core/evaluate.h"
-#include "sampling/parallel.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 
@@ -27,8 +26,7 @@ QueryEngine::QueryEngine(const UncertainGraph& g,
   RELMAX_CHECK(options_.num_samples > 0);
 }
 
-QueryEngine::QueryEngine(const UncertainGraph& g, const QueryEngine& prev,
-                         int num_workers)
+QueryEngine::QueryEngine(const UncertainGraph& g, const QueryEngine& prev)
     : QueryEngine(g, prev.options_) {
   std::shared_ptr<const WorldBank> old_bank;
   const ReliabilityIndex* old_index;
@@ -41,8 +39,7 @@ QueryEngine::QueryEngine(const UncertainGraph& g, const QueryEngine& prev,
     index_io_stats_ = prev.index_io_stats_;
   }
   Advance(old_bank.get(),
-          old_index != nullptr ? old_index->Clone(num_workers) : nullptr,
-          num_workers);
+          old_index != nullptr ? old_index->Clone() : nullptr);
 }
 
 WorldBank::Options QueryEngine::WorldOptions() const {
@@ -61,18 +58,15 @@ void QueryEngine::SyncWithGraph() {
   // The index reads the old bank, which may read the mapped file.
   const MappedFile old_mapping = std::move(index_mapping_);
   const std::shared_ptr<const WorldBank> old_bank = std::move(bank_);
-  Advance(old_bank.get(), std::move(index_), options_.num_threads);
+  Advance(old_bank.get(), std::move(index_));
 }
 
 void QueryEngine::Advance(const WorldBank* old_bank,
-                          std::unique_ptr<ReliabilityIndex> index,
-                          int num_workers) {
+                          std::unique_ptr<ReliabilityIndex> index) {
   if (old_bank == nullptr || !UseSharedWorlds()) return;
-  WorldBank::Options fill = WorldOptions();
-  fill.num_threads = num_workers;
   WorldBank::Delta delta;
-  auto fresh =
-      std::make_shared<const WorldBank>(*old_bank, graph_, fill, &delta);
+  auto fresh = std::make_shared<const WorldBank>(*old_bank, graph_,
+                                                 WorldOptions(), &delta);
   if (index != nullptr && UseIndex() && GraphExtendsIndexedShape()) {
     index->ApplyBankUpdate(*fresh, delta);
   } else {
@@ -200,10 +194,20 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
   }
   if (UseIndex()) {
     // Every answer is a label-plane popcount (undirected) or a cached
-    // reach-row popcount (directed); both are pure functions of the bank
-    // bits, so batch order and thread count cannot matter.
+    // reach-row popcount (directed, cold sources flooded together); both
+    // are pure functions of the bank bits, so batch order and thread count
+    // cannot matter.
+    std::vector<NodeId> sources;
+    std::vector<NodeId> targets;
+    sources.reserve(pairs.size());
+    targets.reserve(pairs.size());
     for (const StQuery& q : pairs) {
-      (*resolved)[PairKey(q.s, q.t)] = index_->Query(q.s, q.t);
+      sources.push_back(q.s);
+      targets.push_back(q.t);
+    }
+    const std::vector<double> values = index_->QueryBatch(sources, targets);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      (*resolved)[PairKey(pairs[i].s, pairs[i].t)] = values[i];
     }
     stats->index_answers += pairs.size();
     return;
@@ -227,33 +231,26 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
       }
       pairs_of_source[it->second].push_back(i);
     }
-    std::vector<double> values(pairs.size());
-    const std::vector<EdgeId> all_edges = bank.AllEdges();
-    const int num_worlds = bank.num_worlds();
-    ForEachShard(
-        sources.size(), options_.num_threads,
-        [] {
-          // One flood scratch per thread, kept across batches: an n x Z
-          // matrix allocated and freed per batch strands freed matrices in
-          // the lanes' malloc arenas, so peak RSS followed allocation order
-          // instead of the flood's footprint.
-          thread_local bitlane::BitMatrix reach;
-          return &reach;
-        },
-        [&](bitlane::BitMatrix* reach, size_t i) {
-          // The fixpoint wipes the reused scratch itself (kClearScratch).
-          bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
-                                    all_edges, reach);
+    // Each (source, world range) shard writes the integer popcounts of its
+    // range into its own (pair, range) slots; summed per pair they are the
+    // whole rows' popcounts, so any split and any num_threads give the
+    // same value bits.
+    const size_t ranges =
+        bank.FloodRanges(sources.size(), options_.num_threads);
+    std::vector<int64_t> counts(pairs.size() * ranges);
+    bank.FloodSources(
+        sources, options_.num_threads,
+        [&](size_t i, size_t range, size_t, const bitlane::BitMatrix& reach) {
           for (size_t idx : pairs_of_source[i]) {
-            values[idx] = static_cast<double>(WorldBank::CountBits(
-                              reach->row_span(pairs[idx].t),
-                              static_cast<size_t>(num_worlds))) /
-                          num_worlds;
+            counts[idx * ranges + range] = WorldBank::CountBits(
+                reach.row_span(pairs[idx].t), 64 * reach.words());
           }
-        },
-        [](bitlane::BitMatrix*) {});
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      (*resolved)[PairKey(pairs[i].s, pairs[i].t)] = values[i];
+        });
+    for (size_t idx = 0; idx < pairs.size(); ++idx) {
+      int64_t count = 0;
+      for (size_t r = 0; r < ranges; ++r) count += counts[idx * ranges + r];
+      (*resolved)[PairKey(pairs[idx].s, pairs[idx].t)] =
+          static_cast<double>(count) / bank.num_worlds();
     }
     stats->floods += sources.size();
     return;

@@ -153,10 +153,13 @@ struct BatchResult {
 /// and runs one word-parallel reachability flood per **distinct source**:
 /// `reach[v]` bit w says "v reachable from s in world w", so every query
 /// sharing that source — s-t pairs, aggregate matrix cells, top-k candidates
-/// — is a popcount of the flood's target row. Floods for different sources
-/// are independent and fan out across the sampling thread pool; each answer
-/// depends only on (bank bits, source), so results are **bit-identical for
-/// any num_threads** and for any batch composition or order.
+/// — is a popcount of the flood's target row. Floods fan out across the
+/// sampling thread pool over (source × world range) shards: sampled worlds
+/// are independent, so a batch with fewer sources than workers splits each
+/// source's worlds into ranges, and a range's popcounts sum to the row's.
+/// Each answer depends only on (bank bits, source), so results are
+/// **bit-identical for any num_threads** and for any batch composition or
+/// order.
 ///
 /// With `use_index` the engine keeps a ReliabilityIndex over the bank, and
 /// every query becomes a popcount: of per-world component labels built once
@@ -180,12 +183,11 @@ class QueryEngine {
   /// `g` must outlive the engine.
   QueryEngine(const UncertainGraph& g, const QueryEngineOptions& options);
 
-  /// The successor of `prev` over `g` (prev.graph() plus mutations): the
-  /// same incremental maintenance as an in-place mutation, with
-  /// `num_workers` fill and relabel lanes, into a new engine that carries
-  /// prev's index-file generation forward. `prev` keeps answering.
-  QueryEngine(const UncertainGraph& g, const QueryEngine& prev,
-              int num_workers);
+  /// The successor of `prev` over `g` (prev.graph() plus mutations), with
+  /// prev's options: the same incremental maintenance as an in-place
+  /// mutation, into a new engine that carries prev's index-file generation
+  /// forward. `prev` keeps answering.
+  QueryEngine(const UncertainGraph& g, const QueryEngine& prev);
 
   /// Answers every query in `set`. Fails on validation errors (out-of-range
   /// nodes, empty aggregate sets, k < 1) without computing anything.
@@ -218,16 +220,16 @@ class QueryEngine {
   void SyncWithGraph();
 
   // Incremental maintenance behind SyncWithGraph and the successor
-  // constructor. Derives graph_'s bank from `old_bank` with `num_workers`
-  // lanes, redrawing only updated and appended rows — bit-identical to a
-  // fresh engine's, bank bits being a pure function of (seed, edge, world,
-  // p_e). When graph_ extends the indexed shape (same nodes, same
-  // existing-edge endpoints), `index` updates only the worlds the derive's
-  // delta reports changed (none for a directed index, which holds no
-  // labels) and is republished; otherwise it drops. With no old bank, both
-  // stay lazy.
+  // constructor. Derives graph_'s bank from `old_bank` on
+  // options_.num_threads lanes, redrawing only updated and appended rows —
+  // bit-identical to a fresh engine's, bank bits being a pure function of
+  // (seed, edge, world, p_e). When graph_ extends the indexed shape (same
+  // nodes, same existing-edge endpoints), `index` updates only the worlds
+  // the derive's delta reports changed (none for a directed index, which
+  // holds no labels) and is republished; otherwise it drops. With no old
+  // bank, both stay lazy.
   void Advance(const WorldBank* old_bank,
-               std::unique_ptr<ReliabilityIndex> index, int num_workers);
+               std::unique_ptr<ReliabilityIndex> index);
 
   // Installs `bank` and snapshots the graph shape it was sampled against.
   void AdoptBank(std::shared_ptr<const WorldBank> bank);

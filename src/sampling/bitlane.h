@@ -99,6 +99,21 @@ class BitMatrix {
   BitMatrix() = default;
   BitMatrix(size_t rows, size_t words) { EnsureShape(rows, words); }
 
+  /// An empty matrix whose every allocation (EnsureShape) is mapped straight
+  /// from the OS instead of taken from malloc: its pages arrive zeroed and
+  /// go back to the OS the moment they are freed or reshaped. For matrices
+  /// that come and go on many threads — flood scratch, cached reach rows —
+  /// where malloc's per-thread arenas kept the freed pages of every shape a
+  /// thread had held, so resident memory followed the allocation history
+  /// instead of the live matrices. A fresh mapping faults its pages in on
+  /// first touch, so long-lived or reused matrices are no slower, but a
+  /// matrix allocated per call pays for it.
+  static BitMatrix Mapped() {
+    BitMatrix m;
+    m.mapped_ = true;
+    return m;
+  }
+
   BitMatrix(BitMatrix&&) = default;
   BitMatrix& operator=(BitMatrix&&) = default;
   BitMatrix(const BitMatrix&) = delete;
@@ -118,7 +133,7 @@ class BitMatrix {
     m.rows_ = rows;
     m.words_ = words;
     m.stride_ = ((words + kLaneWords - 1) / kLaneWords) * kLaneWords;
-    m.data_ = DataPtr(data, Deleter{/*owned=*/false});
+    m.data_ = DataPtr(data, Deleter{Storage::kExternal, 0});
     return m;
   }
 
@@ -132,14 +147,11 @@ class BitMatrix {
     rows_ = rows;
     words_ = words;
     stride_ = ((words + kLaneWords - 1) / kLaneWords) * kLaneWords;
-    const size_t total = rows_ * stride_;
-    // A fresh DataPtr (not reset()) so a matrix that previously wrapped an
-    // external buffer regains an owning deleter.
-    data_ = DataPtr(
-        static_cast<uint64_t*>(::operator new[](
-            total * sizeof(uint64_t), std::align_val_t{kLaneBytes})),
-        Deleter{/*owned=*/true});
-    std::memset(data_.get(), 0, total * sizeof(uint64_t));
+    // Free the old buffer first, so a reshape never holds both. The new
+    // DataPtr carries its own deleter, so a matrix that wrapped an external
+    // buffer owns the one it gets here.
+    data_.reset();
+    data_ = Allocate(rows_ * stride_ * sizeof(uint64_t), mapped_);
     return true;
   }
 
@@ -172,23 +184,30 @@ class BitMatrix {
   bool empty() const { return data_ == nullptr; }
 
  private:
+  enum class Storage {
+    kHeap,      ///< aligned operator new
+    kMapped,    ///< an anonymous OS mapping of `bytes`
+    kExternal,  ///< an External() buffer someone else owns
+  };
   struct Deleter {
     // No default member initializer: an NSDMI would be parsed in the
     // complete-class context of BitMatrix, leaving Deleter (and thus
     // DataPtr) not default-constructible inside the class body.
-    constexpr Deleter() : owned(true) {}
-    constexpr explicit Deleter(bool o) : owned(o) {}
-    /// false when the matrix wraps an External() buffer someone else owns.
-    bool owned;
-    void operator()(uint64_t* p) const {
-      if (owned) ::operator delete[](p, std::align_val_t{kLaneBytes});
-    }
+    constexpr Deleter() : storage(Storage::kHeap), bytes(0) {}
+    constexpr Deleter(Storage s, size_t b) : storage(s), bytes(b) {}
+    Storage storage;
+    size_t bytes;
+    void operator()(uint64_t* p) const;
   };
   using DataPtr = std::unique_ptr<uint64_t[], Deleter>;
+
+  // `bytes` of zeroed, lane-aligned storage, an OS mapping if `mapped`.
+  static DataPtr Allocate(size_t bytes, bool mapped);
 
   size_t rows_ = 0;
   size_t words_ = 0;
   size_t stride_ = 0;
+  bool mapped_ = false;  // see Mapped()
   DataPtr data_;
 };
 

@@ -25,6 +25,13 @@ uint64_t TailMask(int num_worlds) {
                            : ~uint64_t{0};
 }
 
+// 0 .. num_edges - 1, ascending.
+std::vector<EdgeId> EdgeIds(size_t num_edges) {
+  std::vector<EdgeId> edges(num_edges);
+  for (size_t e = 0; e < num_edges; ++e) edges[e] = static_cast<EdgeId>(e);
+  return edges;
+}
+
 }  // namespace
 
 uint64_t WorldBank::Threshold(double p) {
@@ -100,6 +107,7 @@ WorldBank::WorldBank(const UncertainGraph& universe, const Options& options)
       world_words_((static_cast<size_t>(options.num_samples) + 63) / 64),
       seed_(options.seed),
       thresholds_(RowThresholds(universe)),
+      all_edges_(EdgeIds(universe.num_edges())),
       up_(universe.num_edges(), world_words_) {
   RELMAX_CHECK(options.num_samples > 0);
   DrawRows(AllEdges(), options.num_threads);
@@ -112,6 +120,7 @@ WorldBank::WorldBank(const WorldBank& prev, const UncertainGraph& universe,
       world_words_(prev.world_words_),
       seed_(options.seed),
       thresholds_(RowThresholds(universe)),
+      all_edges_(EdgeIds(universe.num_edges())),
       up_(universe.num_edges(), world_words_) {
   RELMAX_CHECK(options.num_samples == prev.num_worlds_);
   RELMAX_CHECK(options.seed == prev.seed_);
@@ -160,6 +169,7 @@ WorldBank::WorldBank(const UncertainGraph& universe, int num_worlds,
       world_words_((static_cast<size_t>(num_worlds) + 63) / 64),
       seed_(seed),
       thresholds_(RowThresholds(universe)),
+      all_edges_(EdgeIds(universe.num_edges())),
       up_(std::move(up)) {
   RELMAX_CHECK(num_worlds > 0);
   RELMAX_CHECK(up_.rows() == universe.num_edges());
@@ -169,19 +179,28 @@ WorldBank::WorldBank(const UncertainGraph& universe, int num_worlds,
 int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
                                         const std::vector<EdgeId>& active,
                                         bitlane::BitMatrix* reach,
-                                        SeedPolicy seeds) const {
+                                        SeedPolicy seeds, size_t first_block,
+                                        size_t num_blocks) const {
   RELMAX_CHECK(source < universe_.num_nodes());
+  RELMAX_CHECK(first_block < lane_blocks());
+  num_blocks = std::min(num_blocks, lane_blocks() - first_block);
+  // The range's worlds are bank words [word_begin, word_begin + words): a
+  // whole number of lane blocks, except that the last block holds only the
+  // row's remaining logical words.
+  const size_t word_begin = first_block * bitlane::kLaneWords;
+  const size_t words =
+      std::min(num_blocks * bitlane::kLaneWords, world_words_ - word_begin);
   const size_t num_nodes = universe_.num_nodes();
-  const bool reallocated = reach->EnsureShape(num_nodes, world_words_);
+  const bool reallocated = reach->EnsureShape(num_nodes, words);
   if (!reallocated && seeds == SeedPolicy::kClearScratch) {
     // The kernel owns the scratch hygiene: a shape-matched buffer reused
     // across sources is wiped here, never by caller convention.
     reach->Clear();
   }
   uint64_t* const at_source = reach->row(source);
-  for (size_t w = 0; w < world_words_; ++w) at_source[w] = ~uint64_t{0};
-  if (num_worlds_ & 63) {
-    at_source[world_words_ - 1] = (uint64_t{1} << (num_worlds_ & 63)) - 1;
+  for (size_t w = 0; w < words; ++w) at_source[w] = ~uint64_t{0};
+  if (word_begin + words == world_words_) {
+    at_source[words - 1] = TailMask(num_worlds_);
   }
 
   // Frontier-driven worklist over lane blocks. Per node, one dirty bit per
@@ -200,17 +219,29 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
   thread_local std::vector<uint64_t> dirty_storage;
   thread_local std::vector<uint8_t> queued_storage;
   thread_local std::vector<uint8_t> active_storage;
-  thread_local std::vector<NodeId> worklist;
+  thread_local std::vector<NodeId> ring;
   thread_local std::vector<uint64_t> popped_mask;
   dirty_storage.assign(num_nodes * mask_words, 0);
   queued_storage.assign(num_nodes, 0);
   active_storage.assign(universe_.num_edges(), 0);
-  worklist.clear();
+  ring.resize(num_nodes);
   popped_mask.resize(mask_words);
   uint64_t* const dirty = dirty_storage.data();
   uint8_t* const queued = queued_storage.data();
   uint8_t* const active_flag = active_storage.data();
   for (EdgeId e : active) active_flag[e] = 1;
+  // The worklist is a FIFO ring of n slots: `queued` admits a node at most
+  // once at a time, so n slots suffice however often nodes are requeued
+  // (several times each on a typical flood).
+  size_t ring_head = 0;
+  size_t ring_tail = 0;
+  size_t ring_count = 0;
+  const auto enqueue = [&](NodeId v) {
+    queued[v] = 1;
+    ring[ring_tail] = v;
+    if (++ring_tail == num_nodes) ring_tail = 0;
+    ++ring_count;
+  };
 
   const uint64_t all_blocks_mask =
       (blocks & 63) ? (uint64_t{1} << (blocks & 63)) - 1 : ~uint64_t{0};
@@ -230,10 +261,7 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
           any_block = 1;
         }
       }
-      if (any_block != 0) {
-        queued[v] = 1;
-        worklist.push_back(static_cast<NodeId>(v));
-      }
+      if (any_block != 0) enqueue(static_cast<NodeId>(v));
     }
   } else {
     // Fresh scratch: the source row is the only nonzero row, and it is
@@ -242,8 +270,7 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
       dirty[source * mask_words + mw] = ~uint64_t{0};
     }
     dirty[source * mask_words + (mask_words - 1)] = all_blocks_mask;
-    queued[source] = 1;
-    worklist.push_back(source);
+    enqueue(source);
   }
 
   // Forward floods walk out-arcs; backward directed floods walk in-arcs
@@ -254,8 +281,10 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
                                                          : universe_.OutCsr();
   const bool scalar = bitlane::Mode() == bitlane::LaneMode::kScalar;
   int64_t propagated = 0;
-  for (size_t head = 0; head < worklist.size(); ++head) {
-    const NodeId u = worklist[head];
+  while (ring_count > 0) {
+    const NodeId u = ring[ring_head];
+    if (++ring_head == num_nodes) ring_head = 0;
+    --ring_count;
     queued[u] = 0;
     uint64_t* const du = dirty + u * mask_words;
     for (size_t mw = 0; mw < mask_words; ++mw) {
@@ -269,7 +298,7 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
       if (active_flag[e] == 0) continue;
       const NodeId v = csr.heads[a];
       if (v == u) continue;  // self-loop: cannot change reachability
-      const uint64_t* const up = up_.row(e);
+      const uint64_t* const up = up_.row(e) + word_begin;
       uint64_t* const dst_row = reach->row(v);
       bool v_changed = false;
       for (size_t mw = 0; mw < mask_words; ++mw) {
@@ -291,13 +320,56 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
           }
         }
       }
-      if (v_changed && queued[v] == 0) {
-        queued[v] = 1;
-        worklist.push_back(v);
-      }
+      if (v_changed && queued[v] == 0) enqueue(v);
     }
   }
   return propagated;
+}
+
+size_t WorldBank::FloodRanges(size_t num_sources, int num_threads) const {
+  const size_t workers = static_cast<size_t>(ResolveNumThreads(num_threads));
+  const size_t per_source =
+      num_sources == 0 ? 1 : (workers + num_sources - 1) / num_sources;
+  return std::max<size_t>(1, std::min(lane_blocks(), per_source));
+}
+
+void WorldBank::FloodSources(const std::vector<NodeId>& sources,
+                             int num_threads,
+                             const FloodVisitor& visit) const {
+  const size_t ranges = FloodRanges(sources.size(), num_threads);
+  const size_t blocks = lane_blocks();
+  const size_t num_shards = sources.size() * ranges;
+  const size_t workers = std::min(
+      static_cast<size_t>(ResolveNumThreads(num_threads)), num_shards);
+  if (workers == 0) return;
+  // Flood scratch, one matrix per worker, owned by the calling thread and
+  // kept across its calls in the shape of the range each last flooded, so a
+  // steady stream of same-shaped floods never reallocates. Pool threads
+  // borrow the caller's matrices, so what stays allocated between calls is
+  // bounded by callers × workers rather than by the pool's size, and a
+  // reshape returns the old pages to the OS (mapped matrices).
+  thread_local std::vector<bitlane::BitMatrix> caller_scratch;
+  std::vector<bitlane::BitMatrix>& scratch = caller_scratch;
+  while (scratch.size() < workers) {
+    scratch.push_back(bitlane::BitMatrix::Mapped());
+  }
+  // Shard-to-worker assignment is racy, but each (source, range) shard
+  // writes only its own state through `visit`, so results are not.
+  std::atomic<size_t> cursor{0};
+  RunWorkers(static_cast<int>(workers), [&](int worker) {
+    bitlane::BitMatrix& reach = scratch[static_cast<size_t>(worker)];
+    for (size_t shard = cursor.fetch_add(1, std::memory_order_relaxed);
+         shard < num_shards;
+         shard = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      const size_t i = shard / ranges;
+      const size_t r = shard % ranges;
+      const size_t first = r * blocks / ranges;
+      const size_t last = (r + 1) * blocks / ranges;
+      ReachabilityFixpoint(sources[i], /*backward=*/false, all_edges_, &reach,
+                           SeedPolicy::kClearScratch, first, last - first);
+      visit(i, r, first * bitlane::kLaneWords, reach);
+    }
+  });
 }
 
 std::vector<uint64_t> WorldBank::WorldsWithAllEdges(
@@ -328,14 +400,6 @@ double WorldBank::ConnectedFraction(
   return static_cast<double>(
              CountBits(seed_connected, static_cast<size_t>(num_worlds_))) /
          num_worlds_;
-}
-
-std::vector<EdgeId> WorldBank::AllEdges() const {
-  // Sized by the bank's own rows, not universe().num_edges(): the graph may
-  // have grown edges since the bank was sampled.
-  std::vector<EdgeId> edges(num_edges());
-  for (size_t e = 0; e < edges.size(); ++e) edges[e] = static_cast<EdgeId>(e);
-  return edges;
 }
 
 int64_t WorldBank::CountBits(std::span<const uint64_t> bits, size_t limit) {

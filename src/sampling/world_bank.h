@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -70,6 +71,9 @@ class WorldBank {
   /// reallocated to fit the requested shape, the seeds are gone and the
   /// flood degrades to kClearScratch semantics on a fresh matrix.
   enum class SeedPolicy { kClearScratch, kSeedsAreFacts };
+
+  /// Block count meaning "through the last lane block" (ReachabilityFixpoint).
+  static constexpr size_t kAllBlocks = ~size_t{0};
 
   /// Samples `options.num_samples` worlds over `universe`'s edges. The
   /// universe graph must outlive the bank.
@@ -141,6 +145,10 @@ class WorldBank {
   /// Words in a world-indexed bitset (ceil(num_worlds / 64)).
   size_t world_words() const { return world_words_; }
 
+  /// 512-world lane blocks per row (ceil(world_words / kLaneWords)): the
+  /// unit a flood's world range is cut in.
+  size_t lane_blocks() const { return up_.blocks_per_row(); }
+
   /// World-indexed bitset: the worlds in which logical edge `e` exists.
   /// A view into the bank's row (world_words() words); valid as long as the
   /// bank lives.
@@ -153,14 +161,19 @@ class WorldBank {
     return (EdgeUpWorlds(e)[static_cast<size_t>(w) >> 6] >> (w & 63)) & 1;
   }
 
-  /// Computes, for every world simultaneously, which nodes are reachable
-  /// from `source` using only `active` edges that are up in that world:
-  /// on return `reach->row(v)` bit w is set iff v is reachable in world w.
+  /// Computes, for every world of lane blocks [first_block, first_block +
+  /// num_blocks) simultaneously, which nodes are reachable from `source`
+  /// using only `active` edges that are up in that world: on return
+  /// `reach->row(v)` word k is world word first_block * kLaneWords + k of
+  /// v's reachability row, bit w set iff v is reachable in that world. The
+  /// default range is every block, so `reach` holds whole rows; num_blocks
+  /// is clamped to the blocks that exist. Blocks never exchange bits, so
+  /// any split of the blocks into ranges yields the whole-row flood's bits.
   /// With `backward`, directed graphs propagate against arc direction
-  /// (reachability *to* `source`). `*reach` is shaped to
-  /// (num_nodes × world_words) and zeroed unless it already matches and
-  /// `seeds == kSeedsAreFacts` (see SeedPolicy). Iterating `active` in rough
-  /// path order converges in ~2 passes.
+  /// (reachability *to* `source`). `*reach` is shaped to (num_nodes × the
+  /// range's words) and zeroed unless it already matches and `seeds ==
+  /// kSeedsAreFacts` (see SeedPolicy). Iterating `active` in rough path
+  /// order converges in ~2 passes.
   ///
   /// Returns the number of (edge, lane-block) propagation steps that
   /// actually added bits — 0 iff the seeded state was already a fixpoint.
@@ -170,8 +183,34 @@ class WorldBank {
   /// result is invariant under lane kernel and thread count.
   int64_t ReachabilityFixpoint(
       NodeId source, bool backward, const std::vector<EdgeId>& active,
-      bitlane::BitMatrix* reach,
-      SeedPolicy seeds = SeedPolicy::kClearScratch) const;
+      bitlane::BitMatrix* reach, SeedPolicy seeds = SeedPolicy::kClearScratch,
+      size_t first_block = 0, size_t num_blocks = kAllBlocks) const;
+
+  /// Called once per (source, range) shard of FloodSources with the index
+  /// of the source, the range, the range's first world word, and the
+  /// shard's reach matrix (ReachabilityFixpoint's layout for that range,
+  /// valid only during the call).
+  using FloodVisitor = std::function<void(
+      size_t source, size_t range, size_t first_word,
+      const bitlane::BitMatrix& reach)>;
+
+  /// The ranges FloodSources cuts each of `num_sources` sources into on
+  /// `num_threads` workers (<= 0: all hardware threads):
+  /// min(lane_blocks(), ceil(workers / num_sources)), at least 1. One
+  /// source keeps every worker busy; once there are as many sources as
+  /// workers every flood stays whole-row, which is the fastest per world.
+  size_t FloodRanges(size_t num_sources, int num_threads) const;
+
+  /// Forward floods of every source over all bank edges, fanned out over
+  /// (source × world range) shards on up to `num_threads` workers: source
+  /// i's range r of R = FloodRanges(sources.size(), num_threads) is lane
+  /// blocks [r·B/R, (r+1)·B/R) of B = lane_blocks(). Each shard floods
+  /// into its worker's scratch (one range's columns; the calling thread
+  /// keeps one per worker across calls) and hands it to `visit` on that
+  /// worker; shards run concurrently, so `visit` must only write state
+  /// owned by its (i, r).
+  void FloodSources(const std::vector<NodeId>& sources, int num_threads,
+                    const FloodVisitor& visit) const;
 
   /// Bitwise AND of the up-worlds of `edges` (all-ones when empty): the
   /// worlds in which every listed edge is simultaneously up.
@@ -186,7 +225,7 @@ class WorldBank {
                            std::vector<uint64_t> seed_connected = {}) const;
 
   /// All bank edge ids, ascending — the "everything is active" edge set.
-  std::vector<EdgeId> AllEdges() const;
+  const std::vector<EdgeId>& AllEdges() const { return all_edges_; }
 
   /// Popcount of the first `limit` bits of `bits`.
   static int64_t CountBits(std::span<const uint64_t> bits, size_t limit);
@@ -199,6 +238,9 @@ class WorldBank {
   /// Threshold(p_e) of every row as drawn, so a derived bank can tell which
   /// rows an update changed even when the universe was mutated in place.
   std::vector<uint64_t> thresholds_;
+  /// 0 .. num_edges() - 1: sized by the bank's own rows, not
+  /// universe().num_edges(), since the graph may grow edges afterwards.
+  std::vector<EdgeId> all_edges_;
   /// Row e = world bitset for edge e (bits beyond num_worlds stay zero,
   /// including the lane-block padding words — the fixpoint relies on it).
   bitlane::BitMatrix up_;

@@ -11,11 +11,24 @@
 namespace relmax {
 namespace serve {
 
+namespace {
+
+// `options` with the engine's worker budget raised to the lane count, so
+// the writer's derives and every window's floods run on max(threads, lanes)
+// workers.
+ServeOptions WithWorkerBudget(ServeOptions options) {
+  options.engine.num_threads =
+      std::max(ResolveNumThreads(options.engine.num_threads), options.lanes);
+  return options;
+}
+
+}  // namespace
+
 ServeCore::ServeCore(UncertainGraph initial, const ServeOptions& options)
-    : options_(options),
+    : options_(WithWorkerBudget(options)),
       num_nodes_(initial.num_nodes()),
       current_(std::make_shared<const GraphSnapshot>(std::move(initial),
-                                                     options.engine)) {
+                                                     options_.engine)) {
   RELMAX_CHECK(options_.lanes >= 1);
   RELMAX_CHECK(options_.window_us >= 0);
   RELMAX_CHECK(options_.max_batch >= 1);
@@ -78,10 +91,7 @@ StatusOr<uint64_t> ServeCore::Publish(
   const std::shared_ptr<const GraphSnapshot> prev = CurrentSnapshot();
   UncertainGraph next = prev->graph();
   RELMAX_RETURN_IF_ERROR(mutate(next));
-  auto snapshot = std::make_shared<const GraphSnapshot>(
-      *prev, std::move(next),
-      std::max(ResolveNumThreads(options_.engine.num_threads),
-               options_.lanes));
+  auto snapshot = std::make_shared<const GraphSnapshot>(*prev, std::move(next));
   std::lock_guard<std::mutex> lock(mu_);
   current_ = snapshot;
   ++stats_.updates;

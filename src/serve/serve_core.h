@@ -39,7 +39,11 @@ struct ServeOptions {
   /// drop. 0 sheds everything (useful to test the shed path).
   size_t max_queue = 1024;
   /// Lane threads answering windows concurrently on their epoch's engine.
-  /// The writer derives an epoch with max(engine threads, lanes) workers.
+  /// ServeCore runs the engine on a budget of max(engine threads, lanes)
+  /// workers (engine threads <= 0: all hardware threads): the writer derives
+  /// each epoch with it, and each window's floods fan out over (source ×
+  /// world range) shards on it, so a lane answering a one-source window
+  /// still uses every worker.
   int lanes = 1;
 };
 

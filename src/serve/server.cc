@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -188,6 +189,23 @@ Status Errno(const std::string& what) {
 
 }  // namespace
 
+int AcceptConnection(int listen_fd) {
+  int conn_fd;
+  do {
+    conn_fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (conn_fd < 0 && errno == EINTR);
+  if (conn_fd < 0) return -1;
+  const int one = 1;
+  if (::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) <
+      0) {
+    const int saved = errno;
+    ::close(conn_fd);
+    errno = saved;
+    return -1;
+  }
+  return conn_fd;
+}
+
 Status Server::ServePort(uint16_t port,
                          const std::function<void(uint16_t)>& on_listen) {
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -226,10 +244,7 @@ Status Server::ServePort(uint16_t port,
   // below this layer (lanes), not across sockets.
   bool keep_listening = true;
   while (keep_listening) {
-    int conn_fd;
-    do {
-      conn_fd = ::accept(listen_fd, nullptr, nullptr);
-    } while (conn_fd < 0 && errno == EINTR);
+    const int conn_fd = AcceptConnection(listen_fd);
     if (conn_fd < 0) {
       const Status status = Errno("accept");
       ::close(listen_fd);

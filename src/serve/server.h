@@ -44,6 +44,13 @@ class ResponseSequencer {
   std::map<uint64_t, std::string> pending_;  // guarded by mu_
 };
 
+/// Accepts the next connection on the listening socket `listen_fd`
+/// (retrying EINTR) and sets TCP_NODELAY on it: every response is a small
+/// line that a pipelined client may be waiting on, and Nagle would hold
+/// the second of two back-to-back lines until the client's delayed ACK
+/// (about 40 ms). Returns the connected fd, or -1 with errno set.
+int AcceptConnection(int listen_fd);
+
 /// The wire front-end: reads protocol lines from a stream (stdin or a
 /// socket), dispatches them to a ServeCore, and writes one response line per
 /// request in request order. Mutations and queries interleave exactly as

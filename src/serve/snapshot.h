@@ -24,11 +24,10 @@ class GraphSnapshot {
 
   /// Epoch prev.epoch() + 1: `graph` is prev.graph() after one mutation,
   /// with the successor of prev's engine.
-  GraphSnapshot(const GraphSnapshot& prev, UncertainGraph graph,
-                int num_workers)
+  GraphSnapshot(const GraphSnapshot& prev, UncertainGraph graph)
       : epoch_(prev.epoch_ + 1),
         graph_(std::move(graph)),
-        engine_(graph_, prev.engine_, num_workers) {}
+        engine_(graph_, prev.engine_) {}
 
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;

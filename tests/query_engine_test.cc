@@ -17,6 +17,7 @@
 #include "graph/uncertain_graph.h"
 #include "query/query_engine.h"
 #include "query/query_set.h"
+#include "index/reliability_index.h"
 #include "sampling/bitlane.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
@@ -156,6 +157,97 @@ TEST(QueryEngineTest, SharedWorldAnswersAreThreadInvariant) {
       reference = result->st_values;
     } else {
       EXPECT_EQ(result->st_values, reference) << "threads = " << threads;
+    }
+  }
+}
+
+// Windows with one source split its worlds into ranges across the workers;
+// windows with many sources flood whole rows. Either way the values and the
+// flood count are those of one thread.
+TEST(QueryEngineTest, RangeShardedFloodsAreThreadInvariant) {
+  const UncertainGraph g = RandomGraph(37, 24, 0.12, /*directed=*/true);
+  QuerySet one_source;
+  for (NodeId t = 0; t < 24; ++t) one_source.AddSt(5, t);
+  QuerySet many_sources;
+  for (NodeId s = 0; s < 24; s += 2) {
+    for (NodeId t = 1; t < 24; t += 5) many_sources.AddSt(s, t);
+  }
+  for (const QuerySet* set : {&one_source, &many_sources}) {
+    std::vector<double> reference;
+    size_t reference_floods = 0;
+    for (const int threads : {1, 2, 4}) {
+      QueryEngineOptions options = EngineOptions(2000);
+      options.num_threads = threads;
+      QueryEngine engine(g, options);
+      const auto result = engine.Answer(*set);
+      ASSERT_TRUE(result.ok());
+      if (threads == 1) {
+        reference = result->st_values;
+        reference_floods = result->stats.floods;
+        continue;
+      }
+      EXPECT_EQ(result->st_values, reference) << "threads = " << threads;
+      EXPECT_EQ(result->stats.floods, reference_floods)
+          << "threads = " << threads;
+    }
+  }
+}
+
+// A directed index floods a batch's cold sources together over the
+// (source × range) fan-out, yet its answers, reach_* counters and cached
+// rows match single-pair Query() calls made in order on one thread — also
+// when the reach cap holds two matrices, so sources are evicted and flooded
+// again in the middle of a batch.
+TEST(QueryEngineTest, DirectedIndexFanOutKeepsSequentialCacheAccounting) {
+  constexpr int kSamples = 2000;
+  constexpr NodeId kNodes = 20;
+  const UncertainGraph g = RandomGraph(83, kNodes, 0.12, /*directed=*/true);
+  // n rows of whole 512-world lane blocks.
+  const size_t matrix_bytes =
+      kNodes * ((kSamples + 511) / 512) * bitlane::kLaneBytes;
+  // Sources revisit after the cache has moved on: 0 and 1 are evicted by
+  // 2 and 3 under the small cap and must flood again.
+  const std::vector<NodeId> sources = {0, 0, 1, 2, 0, 3, 1, 1, 4, 0, 5,
+                                       6, 7, 3, 8, 9, 2, 4, 10, 0, 11};
+  for (const size_t cap : {2 * matrix_bytes, size_t{64} << 20, size_t{0}}) {
+    const WorldBank bank(g, {.num_samples = kSamples, .seed = 7});
+    ReliabilityIndex::Options index_options;
+    index_options.max_reach_bytes = cap;
+    const ReliabilityIndex sequential(bank, index_options);
+    std::vector<double> expected;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      expected.push_back(
+          sequential.Query(sources[i], static_cast<NodeId>(i % kNodes)));
+    }
+    const ReliabilityIndex::Stats want = sequential.stats();
+    if (cap == 2 * matrix_bytes) {
+      ASSERT_GT(want.reach_row_evictions, 0u);
+    }
+
+    for (const int threads : {1, 2, 4}) {
+      QueryEngineOptions options = EngineOptions(kSamples);
+      options.use_index = true;
+      options.num_threads = threads;
+      options.index.max_reach_bytes = cap;
+      QueryEngine engine(g, options);
+      QuerySet set;
+      for (size_t i = 0; i < sources.size(); ++i) {
+        set.AddSt(sources[i], static_cast<NodeId>(i % kNodes));
+      }
+      const auto result = engine.Answer(set);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->st_values, expected)
+          << "threads " << threads << " cap " << cap;
+      ASSERT_NE(engine.index(), nullptr);
+      const ReliabilityIndex::Stats got = engine.index()->stats();
+      EXPECT_EQ(got.reach_floods, want.reach_floods)
+          << "threads " << threads << " cap " << cap;
+      EXPECT_EQ(got.reach_rows_cached, want.reach_rows_cached)
+          << "threads " << threads << " cap " << cap;
+      EXPECT_EQ(got.reach_row_evictions, want.reach_row_evictions)
+          << "threads " << threads << " cap " << cap;
+      EXPECT_EQ(engine.index()->reach_cache_bytes(),
+                sequential.reach_cache_bytes());
     }
   }
 }
@@ -542,9 +634,10 @@ TEST(QueryEngineTest, ResyncOverSeveralWritesMatchesFreshLabelWords) {
 }
 
 // The successor constructor (the serve writer's path) derives the next
-// engine from a live one: its answers equal a fresh engine's over the
-// mutated copy, an index is relabeled incrementally rather than rebuilt,
-// and the predecessor keeps its own answers.
+// engine from a live one, on the predecessor's worker count: its answers
+// equal a fresh single-threaded engine's over the mutated copy, an index is
+// relabeled incrementally rather than rebuilt, and the predecessor keeps
+// its own answers.
 TEST(QueryEngineTest, SuccessorEngineMatchesFreshEngine) {
   for (const bool use_index : {false, true}) {
     const UncertainGraph g = RandomGraph(73, 14, 0.2, /*directed=*/true);
@@ -554,7 +647,9 @@ TEST(QueryEngineTest, SuccessorEngineMatchesFreshEngine) {
     for (NodeId s = 0; s < 4; ++s) {
       for (NodeId t = 6; t < 14; ++t) set.AddSt(s, t);
     }
-    QueryEngine prev(g, options);
+    QueryEngineOptions three_workers = options;
+    three_workers.num_threads = 3;
+    QueryEngine prev(g, three_workers);
     const auto prev_answers = prev.Answer(set);
     ASSERT_TRUE(prev_answers.ok());
 
@@ -564,7 +659,8 @@ TEST(QueryEngineTest, SuccessorEngineMatchesFreshEngine) {
     NodeId v = 1;
     while (next.HasEdge(0, v)) ++v;
     ASSERT_TRUE(next.AddEdge(0, v, 0.5).ok());
-    QueryEngine successor(next, prev, /*num_workers=*/3);
+    QueryEngine successor(next, prev);
+    EXPECT_EQ(successor.options().num_threads, 3);
     EXPECT_EQ(successor.cache_size(), 0u);
     if (use_index) {
       ASSERT_NE(successor.index(), nullptr);
@@ -585,8 +681,8 @@ TEST(QueryEngineTest, SuccessorEngineMatchesFreshEngine) {
 
     // A predecessor that never built a bank yields a lazy successor, which
     // then answers like a fresh engine.
-    QueryEngine idle(g, options);
-    QueryEngine lazy(next, idle, /*num_workers=*/3);
+    QueryEngine idle(g, three_workers);
+    QueryEngine lazy(next, idle);
     EXPECT_EQ(lazy.index(), nullptr);
     const auto lazy_answers = lazy.Answer(set);
     ASSERT_TRUE(lazy_answers.ok());

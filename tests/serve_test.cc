@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -33,6 +34,7 @@
 
 #ifndef _WIN32
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -195,6 +197,58 @@ TEST(ServeServerTest, ResponsesArriveInRequestOrder) {
   }
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_EQ(line, "OK bye");
+}
+
+// Lanes {1, 4} at threads 1 run their engine on 1 and 4 workers, so the
+// same stream's windows flood whole rows or split each source's worlds into
+// ranges. The rows must not show it: bursts from one source and bursts from
+// many give the batch engine's values either way.
+TEST(ServeServerTest, LanesShareRowsAtOneThread) {
+  const UncertainGraph g = RandomGraph(17, 40, 0.08);
+  std::vector<StQuery> pairs;
+  Rng rng(21);
+  for (int burst = 0; burst < 8; ++burst) {
+    const NodeId source = static_cast<NodeId>(rng.NextUint64(40));
+    for (int i = 0; i < 10; ++i) {
+      const NodeId s = burst % 2 == 0 ? source
+                                      : static_cast<NodeId>(rng.NextUint64(40));
+      pairs.push_back({s, static_cast<NodeId>(rng.NextUint64(40))});
+    }
+  }
+  std::string script;
+  QuerySet set;
+  for (const StQuery& q : pairs) {
+    set.AddSt(q.s, q.t);
+    script +=
+        "query " + std::to_string(q.s) + " " + std::to_string(q.t) + "\n";
+  }
+  script += "quit\n";
+
+  ServeOptions options;
+  options.engine.num_samples = 2000;  // 4 lane blocks to split
+  options.engine.seed = 9;
+  options.max_batch = 10;
+  QueryEngine reference(g, options.engine);
+  const auto batch = reference.Answer(set);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  std::string expected;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    expected +=
+        serve::QueryResponse(pairs[i].s, pairs[i].t, batch->st_values[i]) +
+        "\n";
+  }
+  expected += "OK bye\n";
+
+  for (const int lanes : {1, 4}) {
+    options.lanes = lanes;
+    Server server(g, options);
+    EXPECT_EQ(server.core().CurrentSnapshot()->engine().options().num_threads,
+              lanes);
+    std::istringstream in(script);
+    std::ostringstream out;
+    server.Run(in, out);
+    EXPECT_EQ(out.str(), expected) << "lanes " << lanes;
+  }
 }
 
 TEST(ServeServerTest, ShedIsTypedUnavailable) {
@@ -599,6 +653,37 @@ std::vector<std::string> Lines(const std::string& text) {
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   return lines;
+}
+
+// Every accepted connection has Nagle off: a pipelined client's second
+// small response must not wait for the client's delayed ACK.
+TEST(ServeServerTest, AcceptedConnectionsSetTcpNoDelay) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  const int client_fd = ConnectLoopback(ntohs(addr.sin_port));
+  const int conn_fd = serve::AcceptConnection(listen_fd);
+  ASSERT_GE(conn_fd, 0) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
+  ::close(conn_fd);
+  ::close(client_fd);
+  ::close(listen_fd);
 }
 
 TEST(ServeServerTest, SocketServesAndShutsDown) {

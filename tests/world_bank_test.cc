@@ -290,6 +290,136 @@ TEST(WorldBankTest, ReusedScratchIsWipedByDefault) {
   }
 }
 
+// ------------------------------------------------------ world-range floods
+
+UncertainGraph RandomGraph(uint64_t seed, NodeId n, double density,
+                           bool directed) {
+  Rng rng(seed);
+  UncertainGraph g =
+      directed ? UncertainGraph::Directed(n) : UncertainGraph::Undirected(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (u == v || g.HasEdge(u, v) || !rng.NextBernoulli(density)) continue;
+      EXPECT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.1, 0.9)).ok());
+    }
+  }
+  return g;
+}
+
+// Words [first_word, first_word + words) of v's row in `whole`.
+std::vector<uint64_t> Columns(const bitlane::BitMatrix& whole, NodeId v,
+                              size_t first_word, size_t words) {
+  const uint64_t* const row = whole.row(v);
+  return std::vector<uint64_t>(row + first_word, row + first_word + words);
+}
+
+// Lane blocks never exchange bits, so every split of a flood into block
+// ranges reproduces the whole-row flood bit for bit: for Z on both sides of
+// every word and block boundary, directed and undirected, forward and
+// backward, over all edges and over a subset, and with pre-seeded facts.
+TEST(WorldBankTest, EveryRangeSplitEqualsWholeRowFlood) {
+  for (const bool directed : {true, false}) {
+    const UncertainGraph g = RandomGraph(41, 24, 0.12, directed);
+    for (const int z : {1, 63, 64, 65, 511, 512, 513, 2000}) {
+      WorldBank bank(g, {.num_samples = z, .seed = 43, .num_threads = 1});
+      const size_t blocks = bank.lane_blocks();
+      ASSERT_EQ(blocks, (bank.world_words() + bitlane::kLaneWords - 1) /
+                            bitlane::kLaneWords);
+      std::vector<EdgeId> subset;
+      for (size_t e = 0; e < g.num_edges(); e += 2) {
+        subset.push_back(static_cast<EdgeId>(e));
+      }
+      for (const std::vector<EdgeId>& active : {bank.AllEdges(), subset}) {
+        for (const bool backward : {false, true}) {
+          for (const bool seeded : {false, true}) {
+            const auto policy = seeded ? WorldBank::SeedPolicy::kSeedsAreFacts
+                                       : WorldBank::SeedPolicy::kClearScratch;
+            // Facts: node 5 is reachable in the worlds where edge 0 is up.
+            bitlane::BitMatrix facts(g.num_nodes(), bank.world_words());
+            if (seeded) {
+              const std::span<const uint64_t> up = bank.EdgeUpWorlds(0);
+              std::copy(up.begin(), up.end(), facts.row(5));
+            }
+            bitlane::BitMatrix whole(g.num_nodes(), bank.world_words());
+            if (seeded) {
+              std::copy_n(facts.row(5), bank.world_words(), whole.row(5));
+            }
+            bank.ReachabilityFixpoint(1, backward, active, &whole, policy);
+            for (size_t ranges = 1; ranges <= blocks; ++ranges) {
+              for (size_t r = 0; r < ranges; ++r) {
+                const size_t first = r * blocks / ranges;
+                const size_t count = (r + 1) * blocks / ranges - first;
+                const size_t first_word = first * bitlane::kLaneWords;
+                const size_t words =
+                    std::min(count * bitlane::kLaneWords,
+                             bank.world_words() - first_word);
+                bitlane::BitMatrix part(g.num_nodes(), words);
+                if (seeded) {
+                  std::copy_n(facts.row(5) + first_word, words, part.row(5));
+                }
+                bank.ReachabilityFixpoint(1, backward, active, &part, policy,
+                                          first, count);
+                ASSERT_EQ(part.words(), words);
+                for (NodeId v = 0; v < g.num_nodes(); ++v) {
+                  ASSERT_EQ(Row(part, v), Columns(whole, v, first_word, words))
+                      << "z " << z << " node " << v << " range " << r << "/"
+                      << ranges << (directed ? " directed" : " undirected")
+                      << (backward ? " backward" : " forward") << " |active| "
+                      << active.size() << (seeded ? " seeded" : "");
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// FloodSources' (source × range) fan-out hands back every source's whole
+// rows, one range per shard, for any worker count.
+TEST(WorldBankTest, FloodSourcesCoversEveryRowForAnyWorkerCount) {
+  const UncertainGraph g = RandomGraph(47, 24, 0.12, /*directed=*/true);
+  WorldBank bank(g, {.num_samples = 2000, .seed = 53, .num_threads = 1});
+  for (const std::vector<NodeId>& sources :
+       {std::vector<NodeId>{3}, std::vector<NodeId>{0, 7, 11}}) {
+    std::vector<bitlane::BitMatrix> expected(sources.size());
+    for (size_t i = 0; i < sources.size(); ++i) {
+      bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
+                                bank.AllEdges(), &expected[i]);
+    }
+    for (const int workers : {1, 2, 4, 8}) {
+      const size_t ranges = bank.FloodRanges(sources.size(), workers);
+      EXPECT_EQ(ranges, std::min<size_t>(bank.lane_blocks(),
+                                         (workers + sources.size() - 1) /
+                                             sources.size()));
+      std::vector<bitlane::BitMatrix> got(sources.size());
+      for (bitlane::BitMatrix& m : got) {
+        m.EnsureShape(g.num_nodes(), bank.world_words());
+      }
+      std::vector<int> visits(sources.size() * ranges, 0);
+      bank.FloodSources(
+          sources, workers,
+          [&](size_t i, size_t r, size_t first_word,
+              const bitlane::BitMatrix& reach) {
+            ++visits[i * ranges + r];
+            for (NodeId v = 0; v < g.num_nodes(); ++v) {
+              std::copy_n(reach.row(v), reach.words(),
+                          got[i].row(v) + first_word);
+            }
+          });
+      EXPECT_EQ(visits, std::vector<int>(visits.size(), 1));
+      for (size_t i = 0; i < sources.size(); ++i) {
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(Row(got[i], v), Row(expected[i], v))
+              << "source " << sources[i] << " node " << v << " workers "
+              << workers;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ keyed draw contract
 
 // Scalar reference for DrawWord: rebuild each world's 53-bit uniform from the

@@ -5,8 +5,9 @@
 # through the real CLI. Also checks the typed-shed path (--max-queue 0) and
 # that an `update` republish changes subsequent answers without breaking the
 # stream, and serves the same queries over TCP (--port 0) to a client that
-# half-closes its side before reading, and diffs indexed serve passes across
-# writes (directed reach rows, then undirected label planes) against
+# half-closes its side before reading, diffs a --lanes 4 flood-path pass
+# whose windows fan out over world ranges, and diffs indexed serve passes
+# across writes (directed reach rows, then undirected label planes) against
 # `relmax batch --index`. Run under ASan (the serve-smoke CI job does) and a
 # leaked thread, socket, or graph copy fails the job.
 #
@@ -137,6 +138,50 @@ if [ "$BEFORE" = "$AFTER" ]; then
   exit 1
 fi
 echo "OK: '$BEFORE' -> '$AFTER' across the epoch publish"
+
+echo "== flood path at --lanes 4: world-range shards =="
+# No --index: every window is answered by floods that fan out over (source x
+# world range) shards on max(--threads, --lanes) = 4 workers. Bursts from one
+# source split each flood into ranges; bursts from many sources flood whole
+# rows. Either way the rows must equal `relmax batch` at one thread. Z = 2000
+# is four 512-world lane blocks, so the split is real.
+"$CLI" gen --dataset as_topology --scale 0.05 --seed 42 \
+  --out "$WORK/flood_graph.txt" > /dev/null
+python3 - "$WORK/flood_graph.txt" > "$WORK/flood_queries.txt" <<'PY'
+import random
+import sys
+
+with open(sys.argv[1]) as f:
+    n = next(int(line.split()[1]) for line in f
+             if line.startswith(("directed", "undirected")))
+rng = random.Random(5)
+for burst in range(12):
+    source = rng.randrange(n)
+    for _ in range(16):
+        s = source if burst % 2 == 0 else rng.randrange(n)
+        print(s, rng.randrange(n))
+PY
+"$CLI" batch --graph "$WORK/flood_graph.txt" \
+  --queries "$WORK/flood_queries.txt" --samples $SAMPLES --seed $SEED \
+  > "$WORK/flood_batch.out"
+{
+  echo "# flood-path serve-smoke stream"
+  while read -r s t; do echo "query $s $t"; done < "$WORK/flood_queries.txt"
+  echo "stats"
+  echo "quit"
+} > "$WORK/flood_stream.txt"
+"$CLI" serve --graph "$WORK/flood_graph.txt" --samples $SAMPLES --seed $SEED \
+  --lanes 4 < "$WORK/flood_stream.txt" > "$WORK/flood_serve.out"
+grep '^R(' "$WORK/flood_batch.out" > "$WORK/flood_batch.rows"
+grep '^R(' "$WORK/flood_serve.out" > "$WORK/flood_serve.rows"
+if ! diff -u "$WORK/flood_batch.rows" "$WORK/flood_serve.rows"; then
+  echo "FAIL: --lanes 4 flood-path serve rows differ from batch rows" >&2
+  exit 1
+fi
+grep -q '^OK bye$' "$WORK/flood_serve.out" || {
+  echo "FAIL: flood-path stream did not end with a clean OK bye" >&2; exit 1; }
+echo "OK: $(wc -l < "$WORK/flood_serve.rows") --lanes 4 flood-path rows" \
+  "identical to batch rows"
 
 echo "== indexed serve (--index --lanes 2) across writes =="
 # The scripted stream, then each write followed by the same queries. Every
