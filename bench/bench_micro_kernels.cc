@@ -138,7 +138,7 @@ void BM_SearchSpaceElimination(benchmark::State& state) {
 BENCHMARK(BM_SearchSpaceElimination)->Arg(20)->Arg(50)->Arg(100);
 
 // The word-parallel reachability fixpoint — the inner kernel behind
-// WorldBank selection, batch queries, and the index's lazy reach rows. One
+// WorldBank selection, batch queries, and the index's lazy count rows. One
 // iteration floods all Z worlds from one source s over the full edge set,
 // fanned out over world ranges on the second arg's workers as a one-source
 // query batch does (WorldBank::FloodSources; 1 worker floods whole rows

@@ -38,25 +38,6 @@ size_t Align64(size_t x) { return (x + 63) & ~size_t{63}; }
 /// One section per IndexSectionKind, in kind order.
 constexpr uint32_t kIndexNumSections = 2;
 
-/// ceil(log2 n), 0 for n <= 1 or a directed g — must match the index's
-/// label sizing.
-int LabelBitsFor(const UncertainGraph& g) {
-  int bits = 0;
-  if (!g.directed() && g.num_nodes() > 1) {
-    const NodeId max_label = g.num_nodes() - 1;
-    while ((max_label >> bits) != 0) ++bits;
-  }
-  return bits;
-}
-
-/// Lane-padded words per stored bank row. Saved rows use the same stride
-/// the in-memory BitMatrix allocates, which is what makes the mmap-ed
-/// section directly adoptable (zero copy).
-size_t StrideWords(size_t world_words) {
-  return ((world_words + bitlane::kLaneWords - 1) / bitlane::kLaneWords) *
-         bitlane::kLaneWords;
-}
-
 std::string Errno(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
 }
@@ -202,7 +183,7 @@ StatusOr<size_t> SaveIndex(const WorldBank& bank,
   }
   const NodeId num_nodes = g.num_nodes();
   const size_t world_words = bank.world_words();
-  const size_t stride_words = StrideWords(world_words);
+  const size_t stride_words = bitlane::BitMatrix::StrideWords(world_words);
   const int label_bits = index.label_bits();
 
   // Assemble every payload section in memory (the largest is the bank
@@ -399,9 +380,9 @@ StatusOr<LoadedIndex> LoadIndex(
   const NodeId num_nodes = g.num_nodes();
   const int num_worlds = world_options.num_samples;
   const size_t world_words = (static_cast<size_t>(num_worlds) + 63) / 64;
-  const size_t stride_words = StrideWords(world_words);
+  const size_t stride_words = bitlane::BitMatrix::StrideWords(world_words);
   if (h.world_words != world_words ||
-      h.label_bits != static_cast<uint32_t>(LabelBitsFor(g)) ||
+      h.label_bits != static_cast<uint32_t>(ReliabilityIndex::LabelBits(g)) ||
       h.num_sections != kIndexNumSections) {
     return Status::InvalidArgument(
         path + ": inconsistent header (corrupt or hand-edited)");
@@ -497,9 +478,7 @@ StatusOr<LoadedIndex> LoadIndex(
   // Bank rows must keep the BitMatrix invariant the kernels rely on: bits
   // past num_worlds (the last logical word's tail and every pad word) are
   // zero. A corrupted-but-rewritten-checksum file cannot smuggle them in.
-  const uint64_t tail_mask = (num_worlds & 63)
-                                 ? (uint64_t{1} << (num_worlds & 63)) - 1
-                                 : ~uint64_t{0};
+  const uint64_t tail_mask = WorldBank::TailMask(num_worlds);
   const uint64_t* const rows =
       reinterpret_cast<const uint64_t*>(base + bank_entry.offset);
   for (size_t r = 0; r < num_rows; ++r) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "sampling/parallel.h"
@@ -11,39 +10,12 @@
 namespace relmax {
 namespace {
 
-/// Bits needed for labels in [0, n): ceil(log2 n), 0 for n <= 1.
-int LabelBits(NodeId num_nodes) {
-  int bits = 0;
-  if (num_nodes > 1) {
-    const NodeId max_label = num_nodes - 1;
-    while ((max_label >> bits) != 0) ++bits;
-  }
-  return bits;
-}
-
-/// World-indexed bitset with every world bit set (tail bits clear).
-std::vector<uint64_t> AllWorlds(int num_worlds, size_t world_words) {
-  std::vector<uint64_t> all(world_words, ~uint64_t{0});
-  if (num_worlds & 63) {
-    all.back() = (uint64_t{1} << (num_worlds & 63)) - 1;
-  }
-  return all;
-}
-
 NodeId Find(std::vector<NodeId>& parent, NodeId v) {
   while (parent[v] != v) {
     parent[v] = parent[parent[v]];  // path halving
     v = parent[v];
   }
   return v;
-}
-
-/// Label-plane words an index over (g, num_samples) holds: none when g is
-/// directed, whose index is a reach-row cache only.
-size_t LabelWords(const UncertainGraph& g, int num_samples) {
-  if (g.directed()) return 0;
-  return ReliabilityIndex::LabelBytes(g.num_nodes(), num_samples) /
-         sizeof(uint64_t);
 }
 
 }  // namespace
@@ -58,27 +30,36 @@ struct ReliabilityIndex::LabelScratch {
   std::vector<NodeId> parent;
 };
 
-size_t ReliabilityIndex::LabelBytes(NodeId num_nodes, int num_samples) {
+int ReliabilityIndex::LabelBits(const UncertainGraph& g) {
+  int bits = 0;
+  if (!g.directed() && g.num_nodes() > 1) {
+    const NodeId max_label = g.num_nodes() - 1;
+    while ((max_label >> bits) != 0) ++bits;
+  }
+  return bits;
+}
+
+size_t ReliabilityIndex::LabelBytes(const UncertainGraph& g, int num_samples) {
   const size_t world_words = (static_cast<size_t>(num_samples) + 63) / 64;
-  return static_cast<size_t>(num_nodes) * LabelBits(num_nodes) * world_words *
+  return static_cast<size_t>(g.num_nodes()) * LabelBits(g) * world_words *
          sizeof(uint64_t);
 }
 
 bool ReliabilityIndex::Fits(const UncertainGraph& g, int num_samples,
                             const Options& options) {
-  return LabelWords(g, num_samples) * sizeof(uint64_t) <=
-         options.max_label_bytes;
+  return LabelBytes(g, num_samples) <= options.max_label_bytes;
 }
 
 ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
                                    const Options& options)
     : ReliabilityIndex(bank, options,
                        std::vector<uint64_t>(
-                           LabelWords(bank.universe(), bank.num_worlds()))) {
+                           LabelBytes(bank.universe(), bank.num_worlds()) /
+                           sizeof(uint64_t))) {
   ++stats_.builds;
   if (directed_) return;  // no labels to build
   stats_.worlds_relabeled += static_cast<size_t>(num_worlds_);
-  RelabelWorlds(AllWorlds(num_worlds_, world_words_));
+  RelabelWorlds(bank.WorldsWithAllEdges({}));  // every world
 }
 
 ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
@@ -89,9 +70,7 @@ ReliabilityIndex::ReliabilityIndex(const WorldBank& bank,
       num_nodes_(bank.universe().num_nodes()),
       num_worlds_(bank.num_worlds()),
       world_words_(bank.world_words()),
-      label_bits_(bank.universe().directed()
-                      ? 0
-                      : LabelBits(bank.universe().num_nodes())),
+      label_bits_(LabelBits(bank.universe())),
       directed_(bank.universe().directed()),
       labels_(std::move(labels)) {
   RELMAX_CHECK(Fits(bank.universe(), num_worlds_, options_));
@@ -203,63 +182,47 @@ void ReliabilityIndex::MergeWord(size_t word, NodeId a, NodeId b,
   }
 }
 
-size_t ReliabilityIndex::ReachMatrixBytes() const {
-  const size_t stride = bank_->lane_blocks() * bitlane::kLaneWords;
-  return static_cast<size_t>(num_nodes_) * stride * sizeof(uint64_t);
-}
-
-std::vector<ReliabilityIndex::ReachMatrix> ReliabilityIndex::FloodSources(
+std::vector<std::vector<uint32_t>> ReliabilityIndex::CountReach(
     const std::vector<NodeId>& sources) const {
-  std::vector<std::shared_ptr<bitlane::BitMatrix>> fresh;
-  fresh.reserve(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    // Mapped: an evicted matrix's pages go back to the OS, not to the
-    // arena of whichever thread dropped the last reference.
-    fresh.push_back(
-        std::make_shared<bitlane::BitMatrix>(bitlane::BitMatrix::Mapped()));
-    fresh.back()->EnsureShape(num_nodes_, world_words_);
-  }
-  // Each shard copies its range's columns into its source's matrix: shards
-  // write disjoint words, and the pad words stay zero.
+  const size_t n = num_nodes_;
+  const size_t ranges =
+      bank_->FloodRanges(sources.size(), options_.num_threads);
+  // Shard (i, r) writes only its own partial: range r's count of every node
+  // for source i. Integer sums over the ranges are the whole rows' counts,
+  // so any split and any num_threads give the same rows.
+  std::vector<uint32_t> partials(sources.size() * ranges * n);
   bank_->FloodSources(
       sources, options_.num_threads,
-      [&](size_t i, size_t, size_t first_word,
-          const bitlane::BitMatrix& reach) {
-        bitlane::BitMatrix& whole = *fresh[i];
-        for (NodeId v = 0; v < num_nodes_; ++v) {
-          std::copy_n(reach.row(v), reach.words(), whole.row(v) + first_word);
+      [&](size_t i, size_t r, size_t, const bitlane::BitMatrix& reach) {
+        uint32_t* const partial = partials.data() + (i * ranges + r) * n;
+        for (size_t v = 0; v < n; ++v) {
+          partial[v] = static_cast<uint32_t>(
+              WorldBank::CountBits(reach.row_span(v), 64 * reach.words()));
         }
       });
-  return {fresh.begin(), fresh.end()};
+  std::vector<std::vector<uint32_t>> rows(sources.size(),
+                                          std::vector<uint32_t>(n, 0));
+  for (size_t i = 0; i < sources.size(); ++i) {
+    for (size_t r = 0; r < ranges; ++r) {
+      const uint32_t* const partial = partials.data() + (i * ranges + r) * n;
+      for (size_t v = 0; v < n; ++v) rows[i][v] += partial[v];
+    }
+  }
+  return rows;
 }
 
-void ReliabilityIndex::CacheReach(NodeId s, const ReachMatrix& reach) const {
+void ReliabilityIndex::CacheRow(NodeId s, std::vector<uint32_t> row) const {
   ++stats_.reach_floods;
-  if (!reach_cache_.emplace(s, reach).second) return;  // raced: same bits
+  if (!reach_rows_.emplace(s, std::move(row)).second) return;  // raced
   reach_order_.push_back(s);
-  const size_t matrix_bytes = ReachMatrixBytes();
-  reach_bytes_ += matrix_bytes;
-  // FIFO eviction under the byte cap (all matrices have one shape). A matrix
-  // over the whole cap goes too; the caller's reference keeps it alive.
-  while (reach_bytes_ > options_.max_reach_bytes) {
-    reach_cache_.erase(reach_order_.front());
-    reach_bytes_ -= matrix_bytes;
+  // FIFO eviction under the byte cap (all rows have one size); a row over
+  // the whole cap goes too.
+  while (reach_rows_.size() * RowBytes() > options_.max_reach_bytes) {
+    reach_rows_.erase(reach_order_.front());
     reach_order_.pop_front();
     ++stats_.reach_row_evictions;
   }
-  stats_.reach_rows_cached = reach_cache_.size();
-}
-
-ReliabilityIndex::ReachMatrix ReliabilityIndex::SourceReach(NodeId s) const {
-  {
-    std::lock_guard<std::mutex> lock(reach_mu_);
-    const auto it = reach_cache_.find(s);
-    if (it != reach_cache_.end()) return it->second;
-  }
-  ReachMatrix reach = std::move(FloodSources({s}).front());
-  std::lock_guard<std::mutex> lock(reach_mu_);
-  CacheReach(s, reach);
-  return reach;
+  stats_.reach_rows_cached = reach_rows_.size();
 }
 
 std::vector<double> ReliabilityIndex::QueryBatch(
@@ -272,81 +235,54 @@ std::vector<double> ReliabilityIndex::QueryBatch(
     }
     return values;
   }
-  const size_t matrix_bytes = ReachMatrixBytes();
-  std::vector<ReachMatrix> reach_of(sources.size());
-  for (size_t begin = 0; begin < sources.size();) {
-    // Plan one run under the lock by replaying, pair by pair, what Query()
-    // would do to the cache: a cached source is captured as a hit; a cold
-    // one joins `cold`, is inserted into the simulated FIFO and may evict
-    // an earlier entry there (a later pair from an evicted source is cold
-    // again). Every pair's matrix is fixed here, so the cache may change
-    // under the floods without changing an answer.
-    std::vector<NodeId> cold;
-    std::vector<size_t> cold_pairs;  // pairs to fill from cold's floods
+  const auto fraction = [&](uint32_t count) {
+    return static_cast<double>(count) / num_worlds_;
+  };
+  // Cached sources answer by lookup here; every other source is taken once,
+  // in first-appearance order, with the pairs its row will answer.
+  std::vector<NodeId> cold;
+  std::vector<std::vector<size_t>> pairs_of_cold;
+  {
     std::unordered_map<NodeId, size_t> cold_slot;
-    size_t end = begin;
-    {
-      std::lock_guard<std::mutex> lock(reach_mu_);
-      std::deque<NodeId> order = reach_order_;
-      std::unordered_set<NodeId> evicted;
-      size_t bytes = reach_bytes_;
-      for (; end < sources.size(); ++end) {
-        const NodeId s = sources[end];
-        const bool live = evicted.count(s) == 0;
-        if (live && cold_slot.count(s) != 0) {
-          cold_pairs.push_back(end);
-          continue;
-        }
-        if (live) {
-          const auto it = reach_cache_.find(s);
-          if (it != reach_cache_.end()) {
-            reach_of[end] = it->second;
-            continue;
-          }
-        }
-        if (cold_slot.count(s) != 0) break;  // would flood s twice
-        if (!cold.empty() && (cold.size() + 1) * matrix_bytes >
-                                 options_.max_reach_bytes) {
-          break;  // the run's fresh matrices are at the cap
-        }
-        cold_slot.emplace(s, cold.size());
-        cold.push_back(s);
-        cold_pairs.push_back(end);
-        evicted.erase(s);
-        order.push_back(s);
-        bytes += matrix_bytes;
-        while (bytes > options_.max_reach_bytes) {
-          evicted.insert(order.front());
-          order.pop_front();
-          bytes -= matrix_bytes;
-        }
+    std::lock_guard<std::mutex> lock(reach_mu_);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      RELMAX_CHECK(sources[i] < num_nodes_ && targets[i] < num_nodes_);
+      const auto row = reach_rows_.find(sources[i]);
+      if (row != reach_rows_.end()) {
+        values[i] = fraction(row->second[targets[i]]);
+        continue;
+      }
+      const auto [slot, inserted] = cold_slot.emplace(sources[i], cold.size());
+      if (inserted) {
+        cold.push_back(sources[i]);
+        pairs_of_cold.emplace_back();
+      }
+      pairs_of_cold[slot->second].push_back(i);
+    }
+  }
+  // Runs of cold sources whose fresh rows fit the cap, at least one each.
+  const size_t run = std::max<size_t>(1, options_.max_reach_bytes / RowBytes());
+  for (size_t begin = 0; begin < cold.size(); begin += run) {
+    const size_t end = std::min(begin + run, cold.size());
+    const std::vector<NodeId> run_sources(cold.begin() + begin,
+                                          cold.begin() + end);
+    std::vector<std::vector<uint32_t>> rows = CountReach(run_sources);
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t idx : pairs_of_cold[i]) {
+        values[idx] = fraction(rows[i - begin][targets[idx]]);
       }
     }
-    if (!cold.empty()) {
-      const std::vector<ReachMatrix> fresh = FloodSources(cold);
-      {
-        std::lock_guard<std::mutex> lock(reach_mu_);
-        for (size_t i = 0; i < cold.size(); ++i) CacheReach(cold[i], fresh[i]);
-      }
-      for (size_t idx : cold_pairs) {
-        reach_of[idx] = fresh[cold_slot.at(sources[idx])];
-      }
+    std::lock_guard<std::mutex> lock(reach_mu_);
+    for (size_t i = begin; i < end; ++i) {
+      CacheRow(cold[i], std::move(rows[i - begin]));
     }
-    for (size_t idx = begin; idx < end; ++idx) {
-      values[idx] = static_cast<double>(WorldBank::CountBits(
-                        reach_of[idx]->row_span(targets[idx]),
-                        static_cast<size_t>(num_worlds_))) /
-                    num_worlds_;
-      reach_of[idx].reset();
-    }
-    begin = end;
   }
   return values;
 }
 
 size_t ReliabilityIndex::reach_cache_bytes() const {
   std::lock_guard<std::mutex> lock(reach_mu_);
-  return reach_bytes_;
+  return reach_rows_.size() * RowBytes();
 }
 
 ReliabilityIndex::Stats ReliabilityIndex::stats() const {
@@ -359,8 +295,10 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
   if (directed_) {
     // The flood seeds s in every world, so row s is all worlds for s == t.
-    const ReachMatrix reach = SourceReach(s);
-    const std::span<const uint64_t> row = reach->row_span(t);
+    bitlane::BitMatrix reach;
+    bank_->ReachabilityFixpoint(s, /*backward=*/false, bank_->AllEdges(),
+                                &reach);
+    const std::span<const uint64_t> row = reach.row_span(t);
     return std::vector<uint64_t>(row.begin(), row.end());
   }
   // ~OR_b(plane_b(s) XOR plane_b(t)), tail-masked: the worlds where s and t
@@ -375,36 +313,30 @@ std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
     const uint64_t* tp = t_planes + static_cast<size_t>(b) * world_words_;
     for (size_t w = 0; w < world_words_; ++w) diff[w] |= sp[w] ^ tp[w];
   }
-  std::vector<uint64_t> eq = AllWorlds(num_worlds_, world_words_);
-  for (size_t w = 0; w < world_words_; ++w) eq[w] &= ~diff[w];
-  return eq;
+  for (uint64_t& word : diff) word = ~word;
+  diff.back() &= WorldBank::TailMask(num_worlds_);
+  return diff;
 }
 
 double ReliabilityIndex::Query(NodeId s, NodeId t) const {
+  if (directed_) return QueryBatch({&s, 1}, {&t, 1}).front();
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
+  // ConnectedWorlds' ~OR_b(plane_b(s) XOR plane_b(t)), counted word by word;
+  // the last word's tail worlds are masked out.
+  const uint64_t* const sp =
+      labels_.data() + static_cast<size_t>(s) * label_bits_ * world_words_;
+  const uint64_t* const tp =
+      labels_.data() + static_cast<size_t>(t) * label_bits_ * world_words_;
   int64_t count = 0;
-  if (directed_) {
-    count = WorldBank::CountBits(SourceReach(s)->row_span(t),
-                                 static_cast<size_t>(num_worlds_));
-  } else {
-    // ConnectedWorlds' ~OR_b(plane_b(s) XOR plane_b(t)), counted word by
-    // word; the last word's tail worlds are masked out.
-    const uint64_t* const sp =
-        labels_.data() + static_cast<size_t>(s) * label_bits_ * world_words_;
-    const uint64_t* const tp =
-        labels_.data() + static_cast<size_t>(t) * label_bits_ * world_words_;
-    for (size_t w = 0; w < world_words_; ++w) {
-      uint64_t diff = 0;
-      for (int b = 0; b < label_bits_; ++b) {
-        const size_t at = static_cast<size_t>(b) * world_words_ + w;
-        diff |= sp[at] ^ tp[at];
-      }
-      uint64_t equal = ~diff;
-      if (w + 1 == world_words_ && (num_worlds_ & 63) != 0) {
-        equal &= (uint64_t{1} << (num_worlds_ & 63)) - 1;
-      }
-      count += __builtin_popcountll(equal);
+  for (size_t w = 0; w < world_words_; ++w) {
+    uint64_t diff = 0;
+    for (int b = 0; b < label_bits_; ++b) {
+      const size_t at = static_cast<size_t>(b) * world_words_ + w;
+      diff |= sp[at] ^ tp[at];
     }
+    uint64_t equal = ~diff;
+    if (w + 1 == world_words_) equal &= WorldBank::TailMask(num_worlds_);
+    count += __builtin_popcountll(equal);
   }
   return static_cast<double>(count) / num_worlds_;
 }
@@ -418,14 +350,13 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldBank& fresh,
   RELMAX_CHECK(delta.lost.size() == world_words_);
   const WorldBank& prev = *bank_;
   bank_ = &fresh;
-  // Reach rows mix affected and unaffected worlds in one flood; rebuild them
+  // Count rows mix affected and unaffected worlds in one flood; rebuild them
   // lazily rather than patching. The reach counters reset with the cache —
   // they describe the cache since its last drop (see Stats) — so incremental
   // stats stay comparable to a fresh build's instead of over-counting floods
   // that served the pre-update bank.
-  reach_cache_.clear();
+  reach_rows_.clear();
   reach_order_.clear();
-  reach_bytes_ = 0;
   stats_.reach_rows_cached = 0;
   stats_.reach_floods = 0;
   stats_.reach_row_evictions = 0;

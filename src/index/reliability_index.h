@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/uncertain_graph.h"
-#include "sampling/bitlane.h"
 #include "sampling/world_bank.h"
 
 namespace relmax {
@@ -19,8 +18,8 @@ namespace relmax {
 /// |{worlds where t is reachable from s}| / Z from precomputed per-world
 /// structure instead of a flood per query.
 ///
-/// The flood-per-source engine (PR 5) pays O(E · Z/64 · passes) per distinct
-/// source; under random-pair workloads almost every query is a new source and
+/// The flood-per-source engine pays O(E · Z/64 · passes) per distinct source;
+/// under random-pair workloads almost every query is a new source and
 /// batching amortizes nothing. Following the indexing insight of Sasaki et
 /// al. (PAPERS.md) — precompute structure over the sampled worlds once,
 /// answer repeated queries from the digest:
@@ -33,13 +32,15 @@ namespace relmax {
 /// `~OR_b(plane_b(s) XOR plane_b(t))`, a B · Z/64 word sweep ending in a
 /// popcount — O(Z/64 · log n) per query, no graph traversal.
 ///
-/// **Directed:** a lazy per-source reach-row cache, with no label planes.
+/// **Directed:** a lazy per-source reach-count cache, with no label planes.
 /// Reachability is one-way, so a per-world label can only prove s→t when s
 /// and t are mutually reachable, and on sparse directed graphs such pairs
-/// are too rare to pay for labeling every world. The first query from
-/// source s runs one word-parallel flood over the bank and memoizes its
-/// n × Z reach matrix, so later queries from s are single-row popcounts.
-/// Matrices are evicted FIFO under `Options::max_reach_bytes`.
+/// are too rare to pay for labeling every world. A source's count row holds
+/// one uint32_t per node v: the number of worlds in which v is reachable
+/// from s. QueryBatch is the one path that fills rows: each uncached source
+/// of a batch floods once over the bank, its per-range popcounts are summed
+/// into its row, and later pairs from s are one lookup. Rows are evicted
+/// FIFO under `Options::max_reach_bytes`.
 ///
 /// **Bit purity:** every answer equals the shared-flood path over the same
 /// bank, bit for bit — components and floods are exact per world, so the
@@ -63,7 +64,7 @@ namespace relmax {
 ///     64 worlds at once: where the endpoints' labels La != Lb, every node
 ///     labeled La or Lb takes min(La, Lb) — O(n · log n) word operations per
 ///     gained edge and 64-world word.
-/// A directed index only swaps the bank and drops its reach cache.
+/// A directed index only swaps the bank and drops its count rows.
 ///
 /// Determinism: labels are filled by the counter-seeded sharded executor
 /// (shard i owns bit-word i of every plane), and per-world labeling is
@@ -75,8 +76,7 @@ namespace relmax {
 /// results.
 ///
 /// Query / QueryBatch / ConnectedWorlds are thread-safe: a mutex guards the
-/// reach cache for lookups and inserts only, and cold sources flood outside
-/// it.
+/// count rows for lookups and inserts only, and floods run outside it.
 class ReliabilityIndex {
  public:
   struct Options {
@@ -84,8 +84,8 @@ class ReliabilityIndex {
     /// bits). Above it, construction refuses (Fits() returns false) — callers
     /// keep the flood path instead. A directed index holds no planes.
     size_t max_label_bytes = size_t{128} << 20;
-    /// Cap on the bytes the directed lazy reach cache's matrices hold (n
-    /// lane-padded rows of Z bits per source). Oldest sources go first.
+    /// Cap on the bytes the directed count rows hold (n uint32_t counts per
+    /// source). Oldest sources go first.
     size_t max_reach_bytes = size_t{64} << 20;
     /// Lanes used while (re)labeling and flooding cold directed sources;
     /// <= 0 means all hardware threads. No bit depends on it.
@@ -94,7 +94,7 @@ class ReliabilityIndex {
 
   /// Build/maintenance accounting. builds / incremental_updates /
   /// worlds_relabeled / last_update_worlds are monotonic over the index
-  /// lifetime. The reach_* counters describe the directed lazy reach cache
+  /// lifetime. The reach_* counters describe the directed count-row cache
   /// **since it was last dropped**: ApplyBankUpdate clears the cache (its
   /// rows mixed pre-update worlds) and resets all three, so after an
   /// incremental update they match a fresh build's counters instead of
@@ -110,9 +110,9 @@ class ReliabilityIndex {
     size_t worlds_relabeled = 0;
     /// Worlds relabeled or merged by the most recent ApplyBankUpdate.
     size_t last_update_worlds = 0;
-    /// Directed lazy floods actually run (one per uncached source).
+    /// Directed floods actually run (one per uncached source per batch).
     size_t reach_floods = 0;
-    /// Directed reach rows currently cached / evicted so far.
+    /// Directed count rows currently cached / evicted so far.
     size_t reach_rows_cached = 0;
     size_t reach_row_evictions = 0;
   };
@@ -137,28 +137,28 @@ class ReliabilityIndex {
   static bool Fits(const UncertainGraph& g, int num_samples,
                    const Options& options);
 
-  /// Label-plane bytes of an undirected index over (num_nodes, num_samples).
-  static size_t LabelBytes(NodeId num_nodes, int num_samples);
+  /// Bitplanes per node of an index over g: ceil(log2 num_nodes), 0 for a
+  /// 1-node or a directed graph.
+  static int LabelBits(const UncertainGraph& g);
+  /// Label-plane bytes of an index over (g, num_samples).
+  static size_t LabelBytes(const UncertainGraph& g, int num_samples);
 
-  /// R(s, t): fraction of worlds where t is reachable from s, popcounted in
-  /// place from the label planes or the cached reach row. Directed queries
-  /// may populate the lazy reach cache; answers are independent of cache
-  /// state.
+  /// R(s, t): fraction of worlds where t is reachable from s — a label-plane
+  /// popcount, or for a directed index the one-pair QueryBatch.
   double Query(NodeId s, NodeId t) const;
 
-  /// Query(sources[i], targets[i]) for every i, in order: the same answers,
-  /// reach-cache insertions, FIFO evictions and reach_* counters as those
-  /// calls made one after another. A directed index floods each run of
-  /// cold sources together, fanned out over (source × world range) shards
-  /// on options.num_threads workers (WorldBank::FloodSources); a run ends
-  /// before its fresh matrices would exceed max_reach_bytes (it always
-  /// holds at least one) or before a source it already flooded would flood
-  /// again.
+  /// Query(sources[i], targets[i]) for every i, in order. A directed index
+  /// answers cached sources by lookup and floods each uncached source once
+  /// per batch, in first-appearance order and in runs whose fresh rows fit
+  /// max_reach_bytes (at least one source per run), over the bank's (source
+  /// × world range) fan-out on options.num_threads workers; the finished
+  /// rows are cached FIFO.
   std::vector<double> QueryBatch(std::span<const NodeId> sources,
                                  std::span<const NodeId> targets) const;
 
   /// World-indexed bitset with bit w set iff t is reachable from s in world
-  /// w — bit-identical to ReachabilityFixpoint over the same bank.
+  /// w — bit-identical to ReachabilityFixpoint over the same bank. A
+  /// directed index floods s for it and leaves the count rows alone.
   std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t) const;
 
   /// A copy of the label planes over the same bank, as the label-adopting
@@ -174,13 +174,12 @@ class ReliabilityIndex {
   /// AND NOT the held bank's). `fresh` must have the same num_worlds and
   /// universe num_nodes as the held bank (edges may have been appended), the
   /// held bank must still be alive, and `fresh` replaces it; the directed
-  /// reach cache is dropped. A directed index holds no labels, so it ignores
+  /// count rows are dropped. A directed index holds no labels, so it ignores
   /// the delta and relabels nothing.
   void ApplyBankUpdate(const WorldBank& fresh, const WorldBank::Delta& delta);
 
   int num_worlds() const { return num_worlds_; }
-  /// Bitplanes per node (ceil(log2 num_nodes); 0 for a 1-node or a
-  /// directed graph).
+  /// LabelBits(universe).
   int label_bits() const { return label_bits_; }
   /// Bytes held by the label planes.
   size_t label_bytes() const { return labels_.size() * sizeof(uint64_t); }
@@ -188,7 +187,7 @@ class ReliabilityIndex {
   /// (v * label_bits() + b) * world_words) — what index_io serializes and
   /// the label-adopting constructor restores.
   std::span<const uint64_t> label_words() const { return labels_; }
-  /// Bytes held by the directed reach cache's matrices right now.
+  /// Bytes held by the directed count rows right now: rows cached × n × 4.
   size_t reach_cache_bytes() const;
   Stats stats() const;
 
@@ -207,24 +206,17 @@ class ReliabilityIndex {
   // the components after adding up-edge (a, b) to those worlds.
   void MergeWord(size_t word, NodeId a, NodeId b, uint64_t worlds);
 
-  using ReachMatrix = std::shared_ptr<const bitlane::BitMatrix>;
-
-  // The reach matrix for `s` (row v = worlds where v is reachable from s),
-  // flooding on first use.
-  ReachMatrix SourceReach(NodeId s) const;
-
-  // Whole-row reach matrices of `sources`, flooded through the bank's
-  // (source × world range) fan-out on options_.num_threads workers.
-  std::vector<ReachMatrix> FloodSources(
+  // The count row of each of `sources` (entry v: the worlds in which v is
+  // reachable from it), flooded through WorldBank::FloodSources.
+  std::vector<std::vector<uint32_t>> CountReach(
       const std::vector<NodeId>& sources) const;
 
-  // Counts the flood of `s` and caches `reach` as its matrix (unless a
-  // racing query cached it first), evicting FIFO under max_reach_bytes.
+  // Counts the flood of `s` and caches `row` as its count row (unless a
+  // racing batch cached it first), evicting FIFO under max_reach_bytes.
   // Requires reach_mu_.
-  void CacheReach(NodeId s, const ReachMatrix& reach) const;
+  void CacheRow(NodeId s, std::vector<uint32_t> row) const;
 
-  // Bytes of one reach matrix: n lane-padded rows of Z bits.
-  size_t ReachMatrixBytes() const;
+  size_t RowBytes() const { return num_nodes_ * sizeof(uint32_t); }
 
   const WorldBank* bank_;  // replaced by ApplyBankUpdate
   Options options_;
@@ -236,13 +228,10 @@ class ReliabilityIndex {
   // Plane b of node v is the world_words_-word row starting at
   // labels_[(v * label_bits_ + b) * world_words_].
   std::vector<uint64_t> labels_;
-  // Guards the directed lazy reach cache and stats_'s reach_* counters. A
-  // matrix is shared with in-flight queries, so eviction never frees rows a
-  // reader is still counting.
+  // Guards the directed count rows and stats_'s reach_* counters.
   mutable std::mutex reach_mu_;
-  mutable std::unordered_map<NodeId, ReachMatrix> reach_cache_;
-  mutable std::deque<NodeId> reach_order_;
-  mutable size_t reach_bytes_ = 0;
+  mutable std::unordered_map<NodeId, std::vector<uint32_t>> reach_rows_;
+  mutable std::deque<NodeId> reach_order_;  // cached sources, oldest first
   mutable Stats stats_;
 };
 

@@ -193,8 +193,8 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
     stats->bank_bytes = BankBytes(bank_->num_edges(), bank_->num_worlds());
   }
   if (UseIndex()) {
-    // Every answer is a label-plane popcount (undirected) or a cached
-    // reach-row popcount (directed, cold sources flooded together); both
+    // Every answer is a label-plane popcount (undirected) or a reach count
+    // (directed, each cold source flooded once per batch); both
     // are pure functions of the bank bits, so batch order and thread count
     // cannot matter.
     std::vector<NodeId> sources;

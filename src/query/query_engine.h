@@ -41,8 +41,8 @@ struct QueryEngineOptions {
   /// the same (Z, seed, threads).
   bool reuse_worlds = true;
   /// Answer from the offline connectivity index (src/index): undirected
-  /// labels are built once over the shared bank, directed reach rows are
-  /// cached per source, and every query becomes a popcount — bit-identical
+  /// labels are built once over the shared bank, directed reach counts are
+  /// cached per source, and every query becomes a lookup — bit-identical
   /// to the flood path over the same bank. Applies on top of reuse_worlds;
   /// when the index is disabled or over its caps the engine floods exactly
   /// as before.
@@ -112,8 +112,7 @@ struct BatchStats {
   /// source among the non-cached pairs.
   size_t floods = 0;
   /// Pairs estimated independently on the per-query fallback path (shared
-  /// worlds disabled or over the footprint cap). Previously misreported
-  /// under `floods`.
+  /// worlds disabled or over the footprint cap).
   size_t fallback_estimates = 0;
   /// Times this batch *wanted* the shared-world fast path but fell off it
   /// because the bank/flood footprint caps were exceeded (0 when shared
@@ -162,10 +161,11 @@ struct BatchResult {
 /// order.
 ///
 /// With `use_index` the engine keeps a ReliabilityIndex over the bank, and
-/// every query becomes a popcount: of per-world component labels built once
-/// (undirected), or of a reach row cached per source (directed), so later
-/// queries from a source reuse its flood. Answers stay bit-identical to the
-/// flood path by construction. See src/index/reliability_index.h.
+/// every query becomes a popcount of per-world component labels built once
+/// (undirected), or a lookup in a count row cached per source (directed),
+/// so later queries from a source reuse its flood. Answers stay
+/// bit-identical to the flood path by construction. See
+/// src/index/reliability_index.h.
 ///
 /// Answers are memoized: a pair asked again while the graph's version() is
 /// unchanged is free. Any mutation (AddEdge/UpdateEdgeProb/assignment)

@@ -102,8 +102,8 @@ class BitMatrix {
   /// An empty matrix whose every allocation (EnsureShape) is mapped straight
   /// from the OS instead of taken from malloc: its pages arrive zeroed and
   /// go back to the OS the moment they are freed or reshaped. For matrices
-  /// that come and go on many threads — flood scratch, cached reach rows —
-  /// where malloc's per-thread arenas kept the freed pages of every shape a
+  /// that come and go on many threads, such as flood scratch, where
+  /// malloc's per-thread arenas kept the freed pages of every shape a
   /// thread had held, so resident memory followed the allocation history
   /// instead of the live matrices. A fresh mapping faults its pages in on
   /// first touch, so long-lived or reused matrices are no slower, but a
@@ -132,7 +132,7 @@ class BitMatrix {
     BitMatrix m;
     m.rows_ = rows;
     m.words_ = words;
-    m.stride_ = ((words + kLaneWords - 1) / kLaneWords) * kLaneWords;
+    m.stride_ = StrideWords(words);
     m.data_ = DataPtr(data, Deleter{Storage::kExternal, 0});
     return m;
   }
@@ -146,7 +146,7 @@ class BitMatrix {
     if (rows == rows_ && words == words_ && data_ != nullptr) return false;
     rows_ = rows;
     words_ = words;
-    stride_ = ((words + kLaneWords - 1) / kLaneWords) * kLaneWords;
+    stride_ = StrideWords(words);
     // Free the old buffer first, so a reshape never holds both. The new
     // DataPtr carries its own deleter, so a matrix that wrapped an external
     // buffer owns the one it gets here.
@@ -180,6 +180,10 @@ class BitMatrix {
   size_t words() const { return words_; }
   /// Allocated words per row: words() rounded up to whole lane blocks.
   size_t stride_words() const { return stride_; }
+  /// The stride of a matrix with `words` logical words per row.
+  static size_t StrideWords(size_t words) {
+    return (words + kLaneWords - 1) / kLaneWords * kLaneWords;
+  }
   size_t blocks_per_row() const { return stride_ / kLaneWords; }
   bool empty() const { return data_ == nullptr; }
 

@@ -19,12 +19,6 @@ constexpr uint64_t kP53 = uint64_t{1} << 53;
 // so shards write disjoint cache lines.
 constexpr size_t kFillRows = 64;
 
-// The live worlds of a bitset's last word: bits past num_worlds are clear.
-uint64_t TailMask(int num_worlds) {
-  return (num_worlds & 63) ? (uint64_t{1} << (num_worlds & 63)) - 1
-                           : ~uint64_t{0};
-}
-
 // 0 .. num_edges - 1, ascending.
 std::vector<EdgeId> EdgeIds(size_t num_edges) {
   std::vector<EdgeId> edges(num_edges);
@@ -376,9 +370,7 @@ std::vector<uint64_t> WorldBank::WorldsWithAllEdges(
     const std::vector<EdgeId>& edges) const {
   std::vector<uint64_t> all(world_words_, ~uint64_t{0});
   // Clear the tail bits beyond num_worlds so counts stay exact.
-  if (num_worlds_ & 63) {
-    all.back() = (uint64_t{1} << (num_worlds_ & 63)) - 1;
-  }
+  all.back() = TailMask(num_worlds_);
   for (EdgeId e : edges) {
     const uint64_t* const up = up_.row(e);
     for (size_t w = 0; w < world_words_; ++w) all[w] &= up[w];

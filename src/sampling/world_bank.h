@@ -145,6 +145,13 @@ class WorldBank {
   /// Words in a world-indexed bitset (ceil(num_worlds / 64)).
   size_t world_words() const { return world_words_; }
 
+  /// The live worlds of a world-indexed bitset's last word: the bits past
+  /// num_worlds are clear.
+  static uint64_t TailMask(int num_worlds) {
+    return (num_worlds & 63) ? (uint64_t{1} << (num_worlds & 63)) - 1
+                             : ~uint64_t{0};
+  }
+
   /// 512-world lane blocks per row (ceil(world_words / kLaneWords)): the
   /// unit a flood's world range is cut in.
   size_t lane_blocks() const { return up_.blocks_per_row(); }

@@ -1,10 +1,10 @@
-// ReliabilityIndex: undirected component labels and directed reach rows must
-// reproduce the word-parallel flood bit-for-bit, every label must be its
+// ReliabilityIndex: undirected component labels and directed reach counts
+// must reproduce the word-parallel flood bit-for-bit, every label must be its
 // component's smallest node id, incremental maintenance (relabel where a
 // world lost an edge, merge where it only gained) must equal a full rebuild
 // bit for bit while touching only the affected worlds (none for a directed
-// index, which holds no labels), and the directed reach-row cache must
-// evict without changing answers.
+// index, which holds no labels), and the directed count-row cache must hold
+// one n-count row per source and evict without changing answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -405,25 +405,47 @@ TEST(ReliabilityIndexTest, IncrementalLabelsEqualFreshBuildBitwise) {
 TEST(ReliabilityIndexTest, ReachRowCacheEvictsWithoutChangingAnswers) {
   const UncertainGraph g = RandomGraph(131, 12, 0.25, true);
   const WorldBank bank(g, {.num_samples = 128, .seed = 19});
-  // Cap the cache at roughly two reach rows (n rows × 2 words × 8 bytes
-  // each), so sweeping all sources must evict.
+  // Cap the cache at two count rows (n uint32_t counts each), so sweeping
+  // all sources must evict and flood evicted sources again.
   ReliabilityIndex::Options options;
-  options.max_reach_bytes = static_cast<size_t>(g.num_nodes()) * 2 * 8 * 2;
+  options.max_reach_bytes = 2 * g.num_nodes() * sizeof(uint32_t);
   ReliabilityIndex index(bank, options);
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      EXPECT_EQ(index.ConnectedWorlds(s, t), FloodRow(bank, s, t))
-          << "(" << s << ", " << t << ")";
+  // The second sweep finds every source evicted again.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        const int64_t worlds = WorldBank::CountBits(FloodRow(bank, s, t), 128);
+        EXPECT_EQ(index.Query(s, t), static_cast<double>(worlds) / 128)
+            << "sweep " << sweep << " (" << s << ", " << t << ")";
+      }
     }
   }
+  EXPECT_EQ(index.stats().reach_floods, 2u * g.num_nodes());
   EXPECT_GT(index.stats().reach_row_evictions, 0u);
   EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
+}
+
+// With the default cap, every source of a small directed graph stays
+// cached, and the cache holds exactly one n-count row per source.
+TEST(ReliabilityIndexTest, ReachCacheHoldsOneCountRowPerSource) {
+  const UncertainGraph g = RandomGraph(149, 30, 0.1, true);
+  const WorldBank bank(g, {.num_samples = 700, .seed = 31});
+  ReliabilityIndex index(bank, {});
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    index.Query(s, (s * 7) % g.num_nodes());
+  }
+  const ReliabilityIndex::Stats stats = index.stats();
+  EXPECT_EQ(stats.reach_rows_cached, g.num_nodes());
+  EXPECT_EQ(stats.reach_floods, g.num_nodes());
+  EXPECT_EQ(stats.reach_row_evictions, 0u);
+  EXPECT_EQ(index.reach_cache_bytes(),
+            stats.reach_rows_cached * g.num_nodes() * sizeof(uint32_t));
 }
 
 TEST(ReliabilityIndexTest, FitsAndFootprint) {
   const UncertainGraph g = RandomGraph(137, 100, 0.05, false);
   // 100 nodes -> 7 label bits; 128 worlds -> 2 words.
-  EXPECT_EQ(ReliabilityIndex::LabelBytes(100, 128), 100u * 7u * 2u * 8u);
+  EXPECT_EQ(ReliabilityIndex::LabelBytes(g, 128), 100u * 7u * 2u * 8u);
   ReliabilityIndex::Options roomy;
   EXPECT_TRUE(ReliabilityIndex::Fits(g, 128, roomy));
   ReliabilityIndex::Options tight;
@@ -432,7 +454,7 @@ TEST(ReliabilityIndexTest, FitsAndFootprint) {
 
   const WorldBank bank(g, {.num_samples = 128, .seed = 23});
   ReliabilityIndex index(bank, roomy);
-  EXPECT_EQ(index.label_bytes(), ReliabilityIndex::LabelBytes(100, 128));
+  EXPECT_EQ(index.label_bytes(), ReliabilityIndex::LabelBytes(g, 128));
   EXPECT_EQ(index.label_bits(), 7);
 
   // A directed index is a reach-row cache: no planes, so it fits any cap.

@@ -3,10 +3,13 @@
 // verification) across module boundaries, plus cross-method consistency.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <regex>
 #include <string>
+#include <vector>
 
 #include "baselines/greedy.h"
 #include "common/rng.h"
@@ -165,18 +168,27 @@ TEST(IntegrationTest, MultiAverageConsistentWithSinglePairUnion) {
 // plumbing fails these loudly. Wall-clock timings are normalized away;
 // thread counts 1 and 4 must produce byte-identical normalized output.
 
-std::string RunCli(const std::string& args) {
-  const std::string cmd = std::string(RELMAX_CLI_PATH) + " " + args + " 2>&1";
+// Runs the CLI with stdin from /dev/null; returns its exit code (-1 when it
+// did not exit normally, e.g. on an abort) and stores stdout + stderr.
+int RunCliStatus(const std::string& args, std::string* out) {
+  const std::string cmd =
+      std::string(RELMAX_CLI_PATH) + " " + args + " </dev/null 2>&1";
+  out->clear();
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
-  if (pipe == nullptr) return "";
-  std::string out;
+  if (pipe == nullptr) return -1;
   char buffer[4096];
   size_t n;
   while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    out.append(buffer, n);
+    out->append(buffer, n);
   }
-  EXPECT_EQ(pclose(pipe), 0) << cmd << "\n" << out;
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string RunCli(const std::string& args) {
+  std::string out;
+  EXPECT_EQ(RunCliStatus(args, &out), 0) << args << "\n" << out;
   return out;
 }
 
@@ -413,6 +425,44 @@ TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenCliThreadSweep, testing::Values(1, 4));
+
+// Sample counts outside [1, INT_MAX] and node ids past the largest NodeId
+// exit 1 with a typed message: no RELMAX_CHECK abort, no wrap through a cast
+// (--samples 4294967297 used to run with Z = 1, --s 4294967296 as node 0).
+TEST(IntegrationTest, BadIntegerFlagsExitOneWithTypedError) {
+  const std::string graph = " --graph " + WriteExample3Graph();
+  const std::string queries = " --queries " + WriteExample3Queries();
+  struct Case {
+    std::string args;
+    std::string message;
+  };
+  const std::string samples = "InvalidArgument: --samples must be an integer";
+  const std::vector<Case> cases = {
+      {"estimate" + graph + " --s 2 --t 3 --samples 0", samples},
+      {"estimate" + graph + " --s 2 --t 3 --samples -5", samples},
+      {"estimate" + graph + " --s 2 --t 3 --samples abc", samples},
+      {"estimate" + graph + " --s 2 --t 3 --samples 4294967297", samples},
+      {"solve" + graph + " --s 2 --t 3 --samples 0", samples},
+      {"solve" + graph + " --s 2 --t 3 --elim-samples 0",
+       "InvalidArgument: --elim-samples must be an integer"},
+      {"batch" + graph + queries + " --samples 0", samples},
+      {"batch" + graph + queries + " --samples 4294967297", samples},
+      {"serve" + graph + " --samples 0", samples},
+      {"estimate" + graph + " --s 4294967296 --t 3",
+       "InvalidArgument: --s is not a node id: 4294967296"},
+      {"estimate" + graph + " --s 2 --t -1",
+       "InvalidArgument: --t is not a node id: -1"},
+      {"solve" + graph + " --s 4294967296 --t 3",
+       "InvalidArgument: --s is not a node id"},
+      {"budget" + graph + " --s 2 --t 4294967299",
+       "InvalidArgument: --t is not a node id"},
+  };
+  for (const Case& c : cases) {
+    std::string out;
+    EXPECT_EQ(RunCliStatus(c.args, &out), 1) << c.args << "\n" << out;
+    EXPECT_NE(out.find(c.message), std::string::npos) << c.args << "\n" << out;
+  }
+}
 
 }  // namespace
 }  // namespace relmax

@@ -31,9 +31,12 @@
 // snapshots, typed shed responses under overload. Query responses are
 // bit-identical to `batch` rows for the same (version, estimator, seed, Z,
 // query) tuple, so scripted streams diff cleanly against batch output.
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +95,34 @@ std::vector<NodeId> ParseNodeList(const std::string& csv) {
   return nodes;
 }
 
+// --name as a sample count in [1, INT_MAX], `def` when absent. A count
+// outside that range (or not a number) gets a typed error instead of
+// reaching a RELMAX_CHECK or wrapping through a cast to int.
+StatusOr<int> SamplesFlag(const Flags& flags, const std::string& name,
+                          int def) {
+  if (!flags.Has(name)) return def;
+  const std::string value = flags.GetString(name, "");
+  int64_t count = 0;
+  const auto [end, error] =
+      std::from_chars(value.data(), value.data() + value.size(), count);
+  if (error != std::errc() || end != value.data() + value.size() ||
+      count < 1 || count > INT_MAX) {
+    return Status::InvalidArgument("--" + name + " must be an integer in [1, " +
+                                   std::to_string(INT_MAX) + "]: " + value);
+  }
+  return static_cast<int>(count);
+}
+
+// --name as a node id (ParseNodeId), so no value wraps onto another node.
+StatusOr<NodeId> NodeFlag(const Flags& flags, const std::string& name) {
+  const std::string value = flags.GetString(name, "");
+  const std::optional<NodeId> id = ParseNodeId(value);
+  if (!id) {
+    return Status::InvalidArgument("--" + name + " is not a node id: " + value);
+  }
+  return *id;
+}
+
 // Unknown flag values fail loudly: a typo like --estimator=rrs silently
 // running Monte Carlo (the old behavior) is indistinguishable from success.
 StatusOr<Estimator> ParseEstimator(const Flags& flags) {
@@ -108,9 +139,12 @@ StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   options.top_r = static_cast<int>(flags.GetInt("r", 100));
   options.top_l = static_cast<int>(flags.GetInt("l", 30));
   options.hop_h = static_cast<int>(flags.GetInt("h", 3));
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 500));
-  options.elimination_samples =
-      static_cast<int>(flags.GetInt("elim-samples", 500));
+  const auto samples = SamplesFlag(flags, "samples", 500);
+  RELMAX_RETURN_IF_ERROR(samples.status());
+  options.num_samples = *samples;
+  const auto elim_samples = SamplesFlag(flags, "elim-samples", 500);
+  RELMAX_RETURN_IF_ERROR(elim_samples.status());
+  options.elimination_samples = *elim_samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
@@ -165,12 +199,15 @@ int CmdEstimate(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   if (!flags.Has("s") || !flags.Has("t")) return Fail("need --s and --t");
-  const NodeId s = static_cast<NodeId>(flags.GetInt("s", 0));
-  const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
-  if (s >= graph->num_nodes() || t >= graph->num_nodes()) {
+  const auto s = NodeFlag(flags, "s");
+  if (!s.ok()) return Fail(s.status().ToString());
+  const auto t = NodeFlag(flags, "t");
+  if (!t.ok()) return Fail(t.status().ToString());
+  if (*s >= graph->num_nodes() || *t >= graph->num_nodes()) {
     return Fail("query node out of range");
   }
-  const int samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = SamplesFlag(flags, "samples", 2000);
+  if (!samples.ok()) return Fail(samples.status().ToString());
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int threads = static_cast<int>(flags.GetInt("threads", 1));
   const auto estimator = ParseEstimator(flags);
@@ -179,15 +216,15 @@ int CmdEstimate(const Flags& flags) {
   double reliability;
   if (*estimator == Estimator::kRss) {
     reliability = EstimateReliabilityRss(
-        *graph, s, t,
-        {.num_samples = samples, .seed = seed, .num_threads = threads});
+        *graph, *s, *t,
+        {.num_samples = *samples, .seed = seed, .num_threads = threads});
   } else {
     reliability = EstimateReliability(
-        *graph, s, t,
-        {.num_samples = samples, .seed = seed, .num_threads = threads});
+        *graph, *s, *t,
+        {.num_samples = *samples, .seed = seed, .num_threads = threads});
   }
-  std::printf("R(%u, %u) = %.4f   (%d samples, %.3f s)\n", s, t, reliability,
-              samples, timer.ElapsedSeconds());
+  std::printf("R(%u, %u) = %.4f   (%d samples, %.3f s)\n", *s, *t,
+              reliability, *samples, timer.ElapsedSeconds());
   return 0;
 }
 
@@ -195,8 +232,10 @@ int CmdSolve(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   if (!flags.Has("s") || !flags.Has("t")) return Fail("need --s and --t");
-  const NodeId s = static_cast<NodeId>(flags.GetInt("s", 0));
-  const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
+  const auto s = NodeFlag(flags, "s");
+  if (!s.ok()) return Fail(s.status().ToString());
+  const auto t = NodeFlag(flags, "t");
+  if (!t.ok()) return Fail(t.status().ToString());
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
   const std::string method_name = flags.GetString("method", "be");
@@ -211,7 +250,7 @@ int CmdSolve(const Flags& flags) {
     return Fail("unknown --method (want be|ip|mrp): " + method_name);
   }
   WallTimer timer;
-  auto solution = MaximizeReliability(*graph, s, t, *options, method);
+  auto solution = MaximizeReliability(*graph, *s, *t, *options, method);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf("method %s: reliability %.4f -> %.4f (gain %.4f) in %.2f s\n",
               CoreMethodName(method), solution->reliability_before,
@@ -268,8 +307,10 @@ int CmdBudget(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   if (!flags.Has("s") || !flags.Has("t")) return Fail("need --s and --t");
-  const NodeId s = static_cast<NodeId>(flags.GetInt("s", 0));
-  const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
+  const auto s = NodeFlag(flags, "s");
+  if (!s.ok()) return Fail(s.status().ToString());
+  const auto t = NodeFlag(flags, "t");
+  if (!t.ok()) return Fail(t.status().ToString());
   BudgetOptions budget;
   budget.total_budget = flags.GetDouble("budget", 2.0);
   budget.max_edges = static_cast<int>(flags.GetInt("max-edges", 10));
@@ -278,7 +319,7 @@ int CmdBudget(const Flags& flags) {
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
   auto solution = MaximizeReliabilityWithProbabilityBudget(
-      *graph, s, t, budget, *options);
+      *graph, *s, *t, budget, *options);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf(
       "budget %.2f (used %.2f): reliability %.4f -> %.4f (gain %.4f)\n",
@@ -294,10 +335,13 @@ int CmdBudget(const Flags& flags) {
 
 // The WorldBank::Options an index file is keyed on, from the same flags
 // batch uses, so `index save` / `index load` / `batch --index-file` agree.
-WorldBank::Options WorldOptionsFromFlags(const Flags& flags) {
-  return {.num_samples = static_cast<int>(flags.GetInt("samples", 2000)),
-          .seed = static_cast<uint64_t>(flags.GetInt("seed", 42)),
-          .num_threads = static_cast<int>(flags.GetInt("threads", 1))};
+StatusOr<WorldBank::Options> WorldOptionsFromFlags(const Flags& flags) {
+  const auto samples = SamplesFlag(flags, "samples", 2000);
+  RELMAX_RETURN_IF_ERROR(samples.status());
+  return WorldBank::Options{
+      .num_samples = *samples,
+      .seed = static_cast<uint64_t>(flags.GetInt("seed", 42)),
+      .num_threads = static_cast<int>(flags.GetInt("threads", 1))};
 }
 
 // Builds bank + index for --graph and writes them to --index-file
@@ -307,7 +351,9 @@ int CmdIndexSave(const Flags& flags) {
   if (!graph.ok()) return Fail(graph.status().ToString());
   const std::string path = flags.GetString("index-file", "");
   if (path.empty()) return Fail("index save requires --index-file FILE");
-  const WorldBank::Options world_options = WorldOptionsFromFlags(flags);
+  const auto world = WorldOptionsFromFlags(flags);
+  if (!world.ok()) return Fail(world.status().ToString());
+  const WorldBank::Options& world_options = *world;
   ReliabilityIndex::Options index_options;
   index_options.num_threads = world_options.num_threads;
   if (!ReliabilityIndex::Fits(*graph, world_options.num_samples,
@@ -335,7 +381,9 @@ int CmdIndexLoad(const Flags& flags) {
   if (!graph.ok()) return Fail(graph.status().ToString());
   const std::string path = flags.GetString("index-file", "");
   if (path.empty()) return Fail("index load requires --index-file FILE");
-  const WorldBank::Options world_options = WorldOptionsFromFlags(flags);
+  const auto world = WorldOptionsFromFlags(flags);
+  if (!world.ok()) return Fail(world.status().ToString());
+  const WorldBank::Options& world_options = *world;
   ReliabilityIndex::Options index_options;
   index_options.num_threads = world_options.num_threads;
   WallTimer timer;
@@ -362,7 +410,9 @@ int CmdBatch(const Flags& flags) {
   auto set = QuerySet::FromFile(queries_path);
   if (!set.ok()) return Fail(set.status().ToString());
   QueryEngineOptions options;
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = SamplesFlag(flags, "samples", 2000);
+  if (!samples.ok()) return Fail(samples.status().ToString());
+  options.num_samples = *samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
@@ -419,7 +469,9 @@ int CmdServe(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   serve::ServeOptions options;
-  options.engine.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = SamplesFlag(flags, "samples", 2000);
+  if (!samples.ok()) return Fail(samples.status().ToString());
+  options.engine.num_samples = *samples;
   options.engine.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.engine.reuse_worlds = flags.GetBool("reuse-worlds", true);
