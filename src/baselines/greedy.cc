@@ -1,7 +1,7 @@
 #include "baselines/greedy.h"
 
 #include <algorithm>
-#include <span>
+#include <optional>
 
 #include "common/memory.h"
 #include "core/evaluate.h"
@@ -48,15 +48,17 @@ constexpr uint64_t kGreedyBankSalt = 0x9eed1e55b45eba11ULL;
 // reaches u, and v reaches t in that world, so every candidate score is a
 // few bitwise ANDs — common random numbers across all candidates and rounds,
 // bit-identical for any num_threads.
+// A bank over options.max_shared_world_bytes ((E + 2V) bits per world) is
+// streamed in runs of lane blocks each round, with the same integer counts.
 class CandidateWorldScorer {
  public:
   CandidateWorldScorer(const UncertainGraph& g, NodeId s, NodeId t,
                        const std::vector<Edge>& candidates,
                        const SolverOptions& options)
       : g_plus_(AugmentGraph(g, candidates)),
-        bank_(g_plus_, {.num_samples = options.num_samples,
-                        .seed = options.seed ^ kGreedyBankSalt,
-                        .num_threads = options.num_threads}),
+        world_options_{.num_samples = options.num_samples,
+                       .seed = options.seed ^ kGreedyBankSalt,
+                       .num_threads = options.num_threads},
         s_(s),
         t_(t),
         candidates_(candidates) {
@@ -67,60 +69,70 @@ class CandidateWorldScorer {
       active_.push_back(static_cast<EdgeId>(e));
     }
     candidate_ids_.reserve(candidates.size());
-    candidate_up_.reserve(candidates.size());
     for (const Edge& c : candidates) {
       // Candidates are pre-validated (ValidateGreedyArgs), so every one is
       // present in g_plus — possibly as a duplicate of an existing edge.
       candidate_ids_.push_back(*g_plus_.EdgeIndexOf(c.src, c.dst));
-      // Views into the bank's rows — the bank is a member, so they stay
-      // valid for the scorer's lifetime.
-      candidate_up_.push_back(bank_.EdgeUpWorlds(candidate_ids_.back()));
     }
-    BeginRound();
+    const size_t rows =
+        g_plus_.num_edges() + 2 * static_cast<size_t>(g_plus_.num_nodes());
+    flat_ = BankBytes(rows, options.num_samples) <=
+            options.max_shared_world_bytes;
+    if (flat_) bank_.emplace(g_plus_, world_options_);
+    run_blocks_ =
+        flat_ ? bank_->lane_blocks()
+              : WorldBank::BlocksWithin(rows, options.max_shared_world_bytes);
   }
 
-  /// Recomputes the reachability sweeps for the current working edge set.
-  /// Call once per greedy round (after any Commit). Reachability only grows
-  /// as edges are committed, so the previous round's bits stay valid and
-  /// seed the fixpoint.
-  void BeginRound() {
-    bank_.ReachabilityFixpoint(s_, /*backward=*/false, active_, &from_s_,
-                                WorldBank::SeedPolicy::kSeedsAreFacts);
-    bank_.ReachabilityFixpoint(t_, /*backward=*/true, active_, &to_t_,
-                                WorldBank::SeedPolicy::kSeedsAreFacts);
-    const uint64_t* const at_t = from_s_.row(t_);
-    connected_.assign(at_t, at_t + bank_.world_words());
-    base_hits_ = WorldBank::CountBits(
-        connected_, static_cast<size_t>(bank_.num_worlds()));
-  }
-
-  /// R(s, t) estimate for the current working edge set.
-  double Base() const {
-    return static_cast<double>(base_hits_) / bank_.num_worlds();
-  }
-
-  /// R(s, t) estimate with candidate `i` added to the working set. Exact
-  /// over the bank's worlds: a path through the new edge must cross it once.
-  /// The per-node world rows are hoisted to raw pointers so the sweep is a
-  /// flat word-parallel AND chain.
-  double With(size_t i) const {
-    const NodeId u = candidates_[i].src;
-    const NodeId v = candidates_[i].dst;
-    const uint64_t* const up = candidate_up_[i].data();
-    const uint64_t* const from_u = from_s_.row(u);
-    const uint64_t* const from_v = from_s_.row(v);
-    const uint64_t* const to_u = to_t_.row(u);
-    const uint64_t* const to_v = to_t_.row(v);
-    const bool undirected = !g_plus_.directed();
-    int64_t hits = base_hits_;
-    for (size_t word = 0; word < connected_.size(); ++word) {
-      uint64_t fresh = up[word] & from_u[word] & to_v[word];
-      if (undirected) {
-        fresh |= up[word] & from_v[word] & to_u[word];
+  /// Counts, over all Z worlds and for the current working edge set, the
+  /// worlds where s reaches t (`*base`) and, for every candidate i, those
+  /// where it does with candidate i added (`(*hits)[i]`): exact over the
+  /// worlds, since a path through a candidate edge must cross it once. Call
+  /// once per greedy round, after any Commit.
+  void Count(int64_t* base, std::vector<int64_t>* hits) {
+    *base = 0;
+    hits->assign(candidates_.size(), 0);
+    // Reachability only grows as edges are committed, so a kept bank's
+    // previous-round bits stay valid and seed the fixpoint; a streamed run
+    // starts from scratch.
+    const WorldBank::SeedPolicy seeds =
+        flat_ ? WorldBank::SeedPolicy::kSeedsAreFacts
+              : WorldBank::SeedPolicy::kClearScratch;
+    const size_t blocks = WorldBank::LaneBlocks(world_options_.num_samples);
+    for (size_t first = 0; first < blocks; first += run_blocks_) {
+      if (!flat_) bank_.emplace(g_plus_, world_options_, first, run_blocks_);
+      const WorldBank& bank = *bank_;
+      bank.ReachabilityFixpoint(s_, /*backward=*/false, active_, &from_s_,
+                                seeds);
+      bank.ReachabilityFixpoint(t_, /*backward=*/true, active_, &to_t_,
+                                seeds);
+      const size_t words = bank.world_words();
+      const uint64_t* const connected = from_s_.row(t_);
+      const int64_t base_hits = WorldBank::CountBits(
+          {connected, words}, static_cast<size_t>(bank.num_worlds()));
+      *base += base_hits;
+      // The per-node world rows are hoisted to raw pointers so the sweep is
+      // a flat word-parallel AND chain.
+      const bool undirected = !g_plus_.directed();
+      for (size_t i = 0; i < candidates_.size(); ++i) {
+        const NodeId u = candidates_[i].src;
+        const NodeId v = candidates_[i].dst;
+        const uint64_t* const up = bank.EdgeUpWorlds(candidate_ids_[i]).data();
+        const uint64_t* const from_u = from_s_.row(u);
+        const uint64_t* const from_v = from_s_.row(v);
+        const uint64_t* const to_u = to_t_.row(u);
+        const uint64_t* const to_v = to_t_.row(v);
+        int64_t count = base_hits;
+        for (size_t word = 0; word < words; ++word) {
+          uint64_t fresh = up[word] & from_u[word] & to_v[word];
+          if (undirected) {
+            fresh |= up[word] & from_v[word] & to_u[word];
+          }
+          count += __builtin_popcountll(fresh & ~connected[word]);
+        }
+        (*hits)[i] += count;
       }
-      hits += __builtin_popcountll(fresh & ~connected_[word]);
     }
-    return static_cast<double>(hits) / bank_.num_worlds();
   }
 
   /// Adds candidate `i` to the working edge set.
@@ -128,38 +140,24 @@ class CandidateWorldScorer {
 
  private:
   const UncertainGraph g_plus_;
-  const WorldBank bank_;
+  const WorldBank::Options world_options_;
   NodeId s_;
   NodeId t_;
   const std::vector<Edge>& candidates_;
   std::vector<EdgeId> candidate_ids_;
-  /// Per-candidate world bitset views: worlds where the candidate is up.
-  std::vector<std::span<const uint64_t>> candidate_up_;
   std::vector<EdgeId> active_;  ///< working edge set
+  /// The whole bank, kept, when it fits the budget; else the current run of
+  /// run_blocks_ lane blocks.
+  bool flat_ = false;
+  size_t run_blocks_ = 0;
+  std::optional<WorldBank> bank_;
   /// Per-node world bitsets for the current round's working set.
   bitlane::BitMatrix from_s_;
   bitlane::BitMatrix to_t_;
-  std::vector<uint64_t> connected_;  ///< worlds connected under active_
-  int64_t base_hits_ = 0;
 };
 
-bool UseSharedWorlds(const UncertainGraph& g, const SolverOptions& options) {
-  if (!options.reuse_worlds || options.estimator != Estimator::kMonteCarlo) {
-    return false;
-  }
-  // The bank plus the two per-node reach tables cost roughly (E + 2V) * Z / 8
-  // bytes. The intended workload is the eliminated subgraph, where this
-  // never trips; on a full-scale graph fall back to per-evaluation
-  // re-sampling instead of silently ballooning memory — but say so: the
-  // slow path is orders of magnitude more RNG work.
-  const size_t cap = options.max_shared_world_bytes;
-  const size_t rows = g.num_edges() + 2 * static_cast<size_t>(g.num_nodes());
-  const size_t wanted = BankBytes(rows, options.num_samples);
-  if (wanted > cap) {
-    NoteBankFallback("greedy baseline", wanted, cap);
-    return false;
-  }
-  return true;
+bool UseSharedWorlds(const SolverOptions& options) {
+  return options.reuse_worlds && options.estimator == Estimator::kMonteCarlo;
 }
 
 }  // namespace
@@ -170,11 +168,14 @@ StatusOr<std::vector<Edge>> SelectIndividualTopK(
   RELMAX_RETURN_IF_ERROR(ValidateGreedyArgs(g, s, t, candidates, options));
 
   std::vector<double> gains(candidates.size(), 0.0);
-  if (UseSharedWorlds(g, options)) {
+  if (UseSharedWorlds(options)) {
     CandidateWorldScorer scorer(g, s, t, candidates, options);
-    const double base = scorer.Base();
+    int64_t base = 0;
+    std::vector<int64_t> hits;
+    scorer.Count(&base, &hits);
+    const double z = options.num_samples;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      gains[i] = scorer.With(i) - base;
+      gains[i] = hits[i] / z - base / z;
     }
   } else {
     const double base = EstimateWithOptions(g, s, t, options, 0);
@@ -203,21 +204,24 @@ StatusOr<std::vector<Edge>> SelectHillClimbing(
     const std::vector<Edge>& candidates, const SolverOptions& options) {
   RELMAX_RETURN_IF_ERROR(ValidateGreedyArgs(g, s, t, candidates, options));
 
-  if (UseSharedWorlds(g, options)) {
+  if (UseSharedWorlds(options)) {
     // Common random numbers across every round *and* candidate: all scores
     // come from one world set, so the greedy comparisons are consistent and
-    // sampling is paid once instead of per (round × candidate).
+    // sampling is paid once (once per round when streamed) instead of per
+    // (round × candidate).
     CandidateWorldScorer scorer(g, s, t, candidates, options);
     std::vector<char> used(candidates.size(), 0);
     std::vector<Edge> chosen;
+    int64_t base = 0;
+    std::vector<int64_t> hits;
+    const double z = options.num_samples;
     for (int round = 0; round < options.budget_k; ++round) {
-      if (round > 0) scorer.BeginRound();
-      const double base = scorer.Base();
+      scorer.Count(&base, &hits);
       int best = -1;
       double best_gain = 0.0;
       for (size_t i = 0; i < candidates.size(); ++i) {
         if (used[i]) continue;
-        const double gain = scorer.With(i) - base;
+        const double gain = hits[i] / z - base / z;
         if (best < 0 || gain > best_gain) {
           best_gain = gain;
           best = static_cast<int>(i);

@@ -60,11 +60,11 @@ struct SolverOptions {
   /// to the Monte Carlo estimator (RSS keeps its stratified per-evaluation
   /// streams).
   bool reuse_worlds = true;
-  /// Footprint budget for the shared-world fast path: when the whole bank
-  /// plus the per-node reach tables would exceed this many bytes, greedy
-  /// selection falls back to per-evaluation re-sampling (counted by
-  /// BankFallbackCount and warned once on stderr). The default comfortably
-  /// covers eliminated subgraphs; tests shrink it to exercise the fallback.
+  /// World budget of the greedy baselines' shared worlds, in bytes: the
+  /// bank's E rows plus the two per-node reach tables, (E + 2V) bits per
+  /// world. When all Z worlds fit, the bank is drawn once per selection;
+  /// otherwise each round streams them in runs of lane blocks that fit. The
+  /// selections are the same either way.
   size_t max_shared_world_bytes = size_t{1} << 28;  // 256 MB
 };
 

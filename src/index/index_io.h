@@ -46,8 +46,7 @@ namespace relmax {
 /// header key against the caller's (graph, WorldBank::Options), exact file
 /// size against the declared layout (truncation), section alignment, the
 /// footer checksums, and payload invariants (zero tail/pad bits). Every
-/// failure is a typed Status — never UB — so callers can fall back loudly
-/// to a rebuild, mirroring the bank-fallback protocol.
+/// failure is a typed Status — never UB — so callers can rebuild loudly.
 
 /// On-disk header. Plain-old-data on purpose: the format IS this struct's
 /// bytes (packed naturally — every field is aligned to its size), so tests

@@ -7,6 +7,7 @@
 #include "common/memory.h"
 #include "common/timer.h"
 #include "core/evaluate.h"
+#include "sampling/parallel.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 
@@ -63,7 +64,7 @@ void QueryEngine::SyncWithGraph() {
 
 void QueryEngine::Advance(const WorldBank* old_bank,
                           std::unique_ptr<ReliabilityIndex> index) {
-  if (old_bank == nullptr || !UseSharedWorlds()) return;
+  if (old_bank == nullptr || !UseFlatBank()) return;
   WorldBank::Delta delta;
   auto fresh = std::make_shared<const WorldBank>(*old_bank, graph_,
                                                  WorldOptions(), &delta);
@@ -128,17 +129,24 @@ bool QueryEngine::GraphExtendsIndexedShape() const {
 }
 
 bool QueryEngine::UseSharedWorlds() const {
-  if (!options_.reuse_worlds) return false;
-  if (options_.estimator != Estimator::kMonteCarlo) return false;
-  return BankBytes(graph_.num_edges(), options_.num_samples) <=
-             options_.max_bank_bytes &&
-         BankBytes(static_cast<size_t>(graph_.num_nodes()),
-                   options_.num_samples) <= options_.max_flood_bytes_per_lane;
+  return options_.reuse_worlds &&
+         options_.estimator == Estimator::kMonteCarlo;
+}
+
+size_t QueryEngine::WorldRows() const {
+  return graph_.num_edges() +
+         static_cast<size_t>(ResolveNumThreads(options_.num_threads)) *
+             graph_.num_nodes();
+}
+
+bool QueryEngine::UseFlatBank() const {
+  return UseSharedWorlds() && BankBytes(WorldRows(), options_.num_samples) <=
+                                  options_.max_bank_bytes;
 }
 
 bool QueryEngine::UseIndex() const {
   return (options_.use_index || !options_.index_file.empty()) &&
-         UseSharedWorlds() &&
+         UseFlatBank() &&
          ReliabilityIndex::Fits(graph_, options_.num_samples, options_.index);
 }
 
@@ -188,10 +196,33 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
                                std::unordered_map<uint64_t, double>* resolved,
                                BatchStats* stats) {
   if (pairs.empty()) return;
-  if (UseSharedWorlds()) {
-    EnsureBuilt(/*with_index=*/UseIndex());
-    stats->bank_bytes = BankBytes(bank_->num_edges(), bank_->num_worlds());
+  if (!UseSharedWorlds()) {
+    // Per-query path: each pair is estimated independently, exactly the
+    // single-query public API under the same (Z, seed, threads).
+    if (options_.estimator == Estimator::kRss) {
+      RssOptions rss = options_.rss;
+      rss.num_samples = options_.num_samples;
+      rss.seed = options_.seed;
+      rss.num_threads = options_.num_threads;
+      for (const StQuery& q : pairs) {
+        (*resolved)[PairKey(q.s, q.t)] =
+            EstimateReliabilityRss(graph_, q.s, q.t, rss);
+      }
+    } else {
+      const SampleOptions mc{.num_samples = options_.num_samples,
+                             .seed = options_.seed,
+                             .num_threads = options_.num_threads};
+      for (const StQuery& q : pairs) {
+        (*resolved)[PairKey(q.s, q.t)] =
+            EstimateReliability(graph_, q.s, q.t, mc);
+      }
+    }
+    stats->fallback_estimates += pairs.size();
+    return;
   }
+  stats->bank_bytes = BankBytes(graph_.num_edges(), options_.num_samples);
+  const bool flat = UseFlatBank();
+  if (flat) EnsureBuilt(/*with_index=*/UseIndex());
   if (UseIndex()) {
     // Every answer is a label-plane popcount (undirected) or a reach count
     // (directed, each cold source flooded once per batch); both
@@ -212,86 +243,60 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
     stats->index_answers += pairs.size();
     return;
   }
-  if (UseSharedWorlds()) {
-    const WorldBank& bank = *bank_;
-    // Group pair indices by source (first-appearance order, so the flood
-    // schedule is a pure function of the deduplicated pair list). Every
-    // value below depends only on (bank bits, source, target); the bank is
-    // thread-invariant by construction, so slot writes by pair index keep
-    // the whole batch bit-identical for any num_threads.
-    std::unordered_map<NodeId, size_t> source_slot;
-    std::vector<NodeId> sources;
-    std::vector<std::vector<size_t>> pairs_of_source;
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const auto [it, inserted] =
-          source_slot.emplace(pairs[i].s, sources.size());
-      if (inserted) {
-        sources.push_back(pairs[i].s);
-        pairs_of_source.emplace_back();
-      }
-      pairs_of_source[it->second].push_back(i);
+  // Group pair indices by source (first-appearance order, so the flood
+  // schedule is a pure function of the deduplicated pair list). Every count
+  // below depends only on (bank bits, source, target); the bank is
+  // thread-invariant by construction, so slot writes by pair index keep the
+  // whole batch bit-identical for any num_threads.
+  std::unordered_map<NodeId, size_t> source_slot;
+  std::vector<NodeId> sources;
+  std::vector<std::vector<size_t>> pairs_of_source;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [it, inserted] =
+        source_slot.emplace(pairs[i].s, sources.size());
+    if (inserted) {
+      sources.push_back(pairs[i].s);
+      pairs_of_source.emplace_back();
     }
-    // Each (source, world range) shard writes the integer popcounts of its
-    // range into its own (pair, range) slots; summed per pair they are the
-    // whole rows' popcounts, so any split and any num_threads give the
-    // same value bits.
+    pairs_of_source[it->second].push_back(i);
+  }
+  // Each (source, world range) shard writes the integer popcounts of its
+  // range into its own (pair, range) slots; summed per pair they are the
+  // whole rows' popcounts, so any split and any num_threads give the same
+  // counts. Worlds over the budget stream in runs of lane blocks that fit:
+  // a run draws its words from their global seeds, so the runs' counts sum
+  // to the flat bank's.
+  const size_t blocks = WorldBank::LaneBlocks(options_.num_samples);
+  const size_t run =
+      flat ? blocks
+           : WorldBank::BlocksWithin(WorldRows(), options_.max_bank_bytes);
+  std::vector<int64_t> counts(pairs.size());
+  for (size_t first = 0; first < blocks; first += run) {
+    std::optional<WorldBank> streamed;
+    if (!flat) streamed.emplace(graph_, WorldOptions(), first, run);
+    const WorldBank& bank = flat ? *bank_ : *streamed;
     const size_t ranges =
         bank.FloodRanges(sources.size(), options_.num_threads);
-    std::vector<int64_t> counts(pairs.size() * ranges);
+    std::vector<int64_t> partial(pairs.size() * ranges);
     bank.FloodSources(
         sources, options_.num_threads,
         [&](size_t i, size_t range, size_t, const bitlane::BitMatrix& reach) {
           for (size_t idx : pairs_of_source[i]) {
-            counts[idx * ranges + range] = WorldBank::CountBits(
+            partial[idx * ranges + range] = WorldBank::CountBits(
                 reach.row_span(pairs[idx].t), 64 * reach.words());
           }
         });
     for (size_t idx = 0; idx < pairs.size(); ++idx) {
-      int64_t count = 0;
-      for (size_t r = 0; r < ranges; ++r) count += counts[idx * ranges + r];
-      (*resolved)[PairKey(pairs[idx].s, pairs[idx].t)] =
-          static_cast<double>(count) / bank.num_worlds();
-    }
-    stats->floods += sources.size();
-    return;
-  }
-  // Per-query fallback: each pair is estimated independently, exactly the
-  // single-query public API under the same (Z, seed, threads). When the
-  // caller *asked* for shared worlds (MC + reuse_worlds) and only the
-  // footprint caps pushed us here, that is a silent 10-100x slowdown unless
-  // we surface it.
-  if (options_.reuse_worlds && options_.estimator == Estimator::kMonteCarlo) {
-    const size_t bank_bytes =
-        BankBytes(graph_.num_edges(), options_.num_samples);
-    const size_t flood_bytes = BankBytes(
-        static_cast<size_t>(graph_.num_nodes()), options_.num_samples);
-    if (bank_bytes > options_.max_bank_bytes) {
-      NoteBankFallback("query engine", bank_bytes, options_.max_bank_bytes);
-    } else {
-      NoteBankFallback("query engine (flood lane)", flood_bytes,
-                       options_.max_flood_bytes_per_lane);
-    }
-    ++stats->bank_fallbacks;
-  }
-  if (options_.estimator == Estimator::kRss) {
-    RssOptions rss = options_.rss;
-    rss.num_samples = options_.num_samples;
-    rss.seed = options_.seed;
-    rss.num_threads = options_.num_threads;
-    for (const StQuery& q : pairs) {
-      (*resolved)[PairKey(q.s, q.t)] =
-          EstimateReliabilityRss(graph_, q.s, q.t, rss);
-    }
-  } else {
-    const SampleOptions mc{.num_samples = options_.num_samples,
-                           .seed = options_.seed,
-                           .num_threads = options_.num_threads};
-    for (const StQuery& q : pairs) {
-      (*resolved)[PairKey(q.s, q.t)] =
-          EstimateReliability(graph_, q.s, q.t, mc);
+      for (size_t r = 0; r < ranges; ++r) {
+        counts[idx] += partial[idx * ranges + r];
+      }
     }
   }
-  stats->fallback_estimates += pairs.size();
+  for (size_t idx = 0; idx < pairs.size(); ++idx) {
+    (*resolved)[PairKey(pairs[idx].s, pairs[idx].t)] =
+        static_cast<double>(counts[idx]) / options_.num_samples;
+  }
+  stats->floods += sources.size();
 }
 
 StatusOr<BatchResult> QueryEngine::Answer(const QuerySet& set) {

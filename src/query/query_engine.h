@@ -43,9 +43,10 @@ struct QueryEngineOptions {
   /// Answer from the offline connectivity index (src/index): undirected
   /// labels are built once over the shared bank, directed reach counts are
   /// cached per source, and every query becomes a lookup — bit-identical
-  /// to the flood path over the same bank. Applies on top of reuse_worlds;
-  /// when the index is disabled or over its caps the engine floods exactly
-  /// as before.
+  /// to the flood path over the same bank. Applies on top of reuse_worlds
+  /// and needs the flat bank (see max_bank_bytes); when the index is
+  /// disabled, over its caps or without a flat bank the engine floods
+  /// instead, with the same answers.
   bool use_index = false;
   /// Persistent index file (index/index_io.h). Non-empty implies use_index.
   /// On the first indexed batch the engine tries to mmap-load this file
@@ -70,15 +71,14 @@ struct QueryEngineOptions {
   /// RSS-specific knobs when estimator == kRss (num_samples/seed/threads
   /// above override the matching RssOptions fields).
   RssOptions rss;
-  /// Footprint caps for the shared-world fast path (mirroring the greedy
-  /// baselines' bank cap): the whole bank is edges × worlds bits, metered
-  /// against max_bank_bytes, and each flood lane additionally holds a
-  /// nodes × worlds reach matrix. Beyond either cap the engine falls back
-  /// to per-query estimation rather than swapping; each such batch bumps
-  /// BatchStats::bank_fallbacks and warns on stderr with the MiB wanted vs
-  /// the cap.
+  /// World budget of the shared-world path, in bytes. It meters every
+  /// resident world column: the bank's E edge rows plus each worker's n-row
+  /// flood scratch, (E + workers · n) bits per world. When all Z worlds fit,
+  /// the bank is drawn once and kept (the flat bank, which an index and an
+  /// index file build on). Otherwise each batch streams the worlds in the
+  /// widest run of lane blocks that fits, at least one: draw the run, flood
+  /// it, add its popcounts, drop it. Both give the same answer bits.
   size_t max_bank_bytes = size_t{256} << 20;
-  size_t max_flood_bytes_per_lane = size_t{64} << 20;
 };
 
 /// Engine-lifetime accounting for the persistent index file
@@ -111,22 +111,16 @@ struct BatchStats {
   /// Shared-world reachability floods actually run — one per distinct
   /// source among the non-cached pairs.
   size_t floods = 0;
-  /// Pairs estimated independently on the per-query fallback path (shared
-  /// worlds disabled or over the footprint cap).
+  /// Pairs estimated independently on the per-query path (reuse_worlds off
+  /// or the RSS estimator).
   size_t fallback_estimates = 0;
-  /// Times this batch *wanted* the shared-world fast path but fell off it
-  /// because the bank/flood footprint caps were exceeded (0 when shared
-  /// worlds are simply disabled or a non-MC estimator is configured). Each
-  /// increment also warns once on stderr; the process-wide total is
-  /// BankFallbackCount().
-  size_t bank_fallbacks = 0;
   /// Pairs answered by the offline reliability index (no flood).
   size_t index_answers = 0;
   /// Result-cache entries evicted by this batch (max_cache_entries cap).
   size_t cache_evictions = 0;
-  /// Logical bytes of the shared bank the batch read (BankBytes(E, Z));
-  /// empty when it read none (fallback path / shared worlds off / all
-  /// pairs cached).
+  /// Logical bytes of the shared bank the batch read (BankBytes(E, Z)),
+  /// flat or streamed; empty when it read none (per-query path / all pairs
+  /// cached).
   std::optional<size_t> bank_bytes;
   double seconds = 0.0;
 };
@@ -158,7 +152,8 @@ struct BatchResult {
 /// source's worlds into ranges, and a range's popcounts sum to the row's.
 /// Each answer depends only on (bank bits, source), so results are
 /// **bit-identical for any num_threads** and for any batch composition or
-/// order.
+/// order. A bank larger than max_bank_bytes is streamed through that budget
+/// a run of lane blocks at a time, with the same answers.
 ///
 /// With `use_index` the engine keeps a ReliabilityIndex over the bank, and
 /// every query becomes a popcount of per-world component labels built once
@@ -252,12 +247,19 @@ class QueryEngine {
     return (static_cast<uint64_t>(s) << 32) | t;
   }
 
-  // True when the shared-world path is active (MC estimator, reuse enabled,
-  // bank footprint under the cap).
+  // True when the shared-world path is active (MC estimator, reuse enabled).
   bool UseSharedWorlds() const;
 
+  // Resident world rows of the shared path: E bank rows plus n flood
+  // scratch rows per worker.
+  size_t WorldRows() const;
+
+  // True when the shared path keeps one flat bank: all Z worlds of
+  // WorldRows() fit max_bank_bytes. Otherwise batches stream the worlds.
+  bool UseFlatBank() const;
+
   // True when queries should resolve through the reliability index (on top
-  // of UseSharedWorlds, the label planes must fit their cap). A non-empty
+  // of UseFlatBank, the label planes must fit their cap). A non-empty
   // options_.index_file implies use_index.
   bool UseIndex() const;
 

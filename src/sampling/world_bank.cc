@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
@@ -18,6 +17,19 @@ constexpr uint64_t kP53 = uint64_t{1} << 53;
 // Rows per fill shard; a shard covers those rows' words in one lane block,
 // so shards write disjoint cache lines.
 constexpr size_t kFillRows = 64;
+
+constexpr size_t kBlockWorlds = bitlane::kLaneWords * 64;
+
+// Worlds in lane blocks [first_block, first_block + num_blocks) of a
+// `num_worlds`-world bank, num_blocks clamped to the blocks that exist.
+int RangeWorlds(int num_worlds, size_t first_block, size_t num_blocks) {
+  RELMAX_CHECK(num_worlds > 0);
+  RELMAX_CHECK(first_block < WorldBank::LaneBlocks(num_worlds));
+  const size_t left =
+      static_cast<size_t>(num_worlds) - first_block * kBlockWorlds;
+  return static_cast<int>(
+      std::min(left, std::min(num_blocks, left) * kBlockWorlds));
+}
 
 // 0 .. num_edges - 1, ascending.
 std::vector<EdgeId> EdgeIds(size_t num_edges) {
@@ -39,6 +51,15 @@ std::vector<uint64_t> WorldBank::RowThresholds(const UncertainGraph& g) {
   thresholds.reserve(g.num_edges());
   for (double p : g.EdgeProbs()) thresholds.push_back(Threshold(p));
   return thresholds;
+}
+
+size_t WorldBank::LaneBlocks(int num_worlds) {
+  return (static_cast<size_t>(num_worlds) + kBlockWorlds - 1) / kBlockWorlds;
+}
+
+size_t WorldBank::BlocksWithin(size_t rows, size_t budget_bytes) {
+  const size_t block_bytes = std::max<size_t>(rows, 1) * kBlockWorlds / 8;
+  return std::max<size_t>(1, budget_bytes / block_bytes);
 }
 
 uint64_t WorldBank::WordSeed(uint64_t seed, EdgeId e, size_t word) {
@@ -87,7 +108,8 @@ void WorldBank::DrawRows(const std::vector<EdgeId>& rows, int num_threads) {
           const EdgeId e = rows[r];
           uint64_t* const row = up_.row(e);
           for (size_t w = word_begin; w < word_end; ++w) {
-            row[w] = DrawWord(WordSeed(seed_, e, w), thresholds_[e]);
+            row[w] =
+                DrawWord(WordSeed(seed_, e, first_word_ + w), thresholds_[e]);
           }
           if (word_end == world_words_) row[world_words_ - 1] &= tail;
         }
@@ -95,15 +117,20 @@ void WorldBank::DrawRows(const std::vector<EdgeId>& rows, int num_threads) {
       [](int) {});
 }
 
-WorldBank::WorldBank(const UncertainGraph& universe, const Options& options)
+WorldBank::WorldBank(const UncertainGraph& universe, const Options& options,
+                     size_t first_block, size_t num_blocks)
     : universe_(universe),
-      num_worlds_(options.num_samples),
-      world_words_((static_cast<size_t>(options.num_samples) + 63) / 64),
+      num_worlds_(RangeWorlds(options.num_samples, first_block, num_blocks)),
+      world_words_((static_cast<size_t>(num_worlds_) + 63) / 64),
+      first_word_(first_block * bitlane::kLaneWords),
       seed_(options.seed),
       thresholds_(RowThresholds(universe)),
       all_edges_(EdgeIds(universe.num_edges())),
-      up_(universe.num_edges(), world_words_) {
-  RELMAX_CHECK(options.num_samples > 0);
+      // A range bank's rows come straight from the OS, so a streamed run's
+      // pages go back when it is dropped, not into a malloc arena.
+      up_(num_worlds_ < options.num_samples ? bitlane::BitMatrix::Mapped()
+                                            : bitlane::BitMatrix()) {
+  up_.EnsureShape(universe.num_edges(), world_words_);
   DrawRows(AllEdges(), options.num_threads);
 }
 
@@ -403,26 +430,6 @@ int64_t WorldBank::CountBits(std::span<const uint64_t> bits, size_t limit) {
     count += __builtin_popcountll(value);
   }
   return count;
-}
-
-namespace {
-
-std::atomic<int64_t> g_bank_fallbacks{0};
-
-}  // namespace
-
-void NoteBankFallback(const char* consumer, size_t wanted_bytes,
-                      size_t cap_bytes) {
-  g_bank_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(stderr,
-               "relmax: %s: shared-world bank needs %.1f MiB > %.1f MiB cap; "
-               "falling back to per-query re-sampling (slow path)\n",
-               consumer, static_cast<double>(wanted_bytes) / (1024.0 * 1024.0),
-               static_cast<double>(cap_bytes) / (1024.0 * 1024.0));
-}
-
-int64_t BankFallbackCount() {
-  return g_bank_fallbacks.load(std::memory_order_relaxed);
 }
 
 }  // namespace relmax

@@ -31,8 +31,7 @@ namespace relmax {
 /// whole 512-bit lane blocks, so the fixpoint inner step moves a cache line
 /// per operation and autovectorizes (see bitlane.h). The fixpoint itself is
 /// frontier-driven: it tracks which lane blocks of which nodes changed last
-/// pass and only re-propagates those, instead of re-sweeping every word of
-/// every row until quiescence.
+/// pass and only re-propagates those.
 ///
 /// Determinism: every bank bit is a pure function of (seed, edge id, world,
 /// p_e). Bit-word w of edge e's row is drawn from its own stream, seeded by
@@ -75,9 +74,16 @@ class WorldBank {
   /// Block count meaning "through the last lane block" (ReachabilityFixpoint).
   static constexpr size_t kAllBlocks = ~size_t{0};
 
-  /// Samples `options.num_samples` worlds over `universe`'s edges. The
-  /// universe graph must outlive the bank.
-  WorldBank(const UncertainGraph& universe, const Options& options);
+  /// Samples `options.num_samples` worlds over `universe`'s edges, or only
+  /// their lane blocks [first_block, first_block + num_blocks), clamped to
+  /// the blocks that exist. World w of such a range bank is world
+  /// first_block * 512 + w of the whole bank, each word drawn from its
+  /// global WordSeed, so the rows are the whole bank's columns bit for bit;
+  /// a consumer whose budget cannot hold all Z worlds streams them in runs
+  /// and sums integer counts over the runs. num_worlds() counts the range's
+  /// worlds. The universe graph must outlive the bank.
+  WorldBank(const UncertainGraph& universe, const Options& options,
+            size_t first_block = 0, size_t num_blocks = kAllBlocks);
 
   /// What a derive changed: two world-indexed bitsets (world_words() words
   /// each) and the rows it redrew. Rows are matched by edge id, so the masks
@@ -97,7 +103,7 @@ class WorldBank {
   };
 
   /// The bank a fresh fill over `universe` would sample, derived from `prev`
-  /// (an earlier bank with the same Z and seed) instead of refilled: rows
+  /// (an earlier flat bank with the same Z and seed) instead of refilled: rows
   /// whose threshold is unchanged are copied, updated and appended rows are
   /// redrawn, and rows past universe's edge count are dropped. `*delta`
   /// receives what changed, computed from the redrawn and dropped rows
@@ -155,6 +161,13 @@ class WorldBank {
   /// 512-world lane blocks per row (ceil(world_words / kLaneWords)): the
   /// unit a flood's world range is cut in.
   size_t lane_blocks() const { return up_.blocks_per_row(); }
+
+  /// Lane blocks of a `num_worlds`-world bank.
+  static size_t LaneBlocks(int num_worlds);
+
+  /// The widest run of lane blocks, at least one, whose `rows` bits per
+  /// world fit in `budget_bytes`.
+  static size_t BlocksWithin(size_t rows, size_t budget_bytes);
 
   /// World-indexed bitset: the worlds in which logical edge `e` exists.
   /// A view into the bank's row (world_words() words); valid as long as the
@@ -241,6 +254,8 @@ class WorldBank {
   const UncertainGraph& universe_;
   int num_worlds_;
   size_t world_words_;
+  /// Global index of this bank's first world word (0 unless a range bank).
+  size_t first_word_ = 0;
   uint64_t seed_;
   /// Threshold(p_e) of every row as drawn, so a derived bank can tell which
   /// rows an update changed even when the universe was mutated in place.
@@ -259,17 +274,6 @@ class WorldBank {
   // (row range, lane block) shards on `num_threads` lanes.
   void DrawRows(const std::vector<EdgeId>& rows, int num_threads);
 };
-
-/// Telemetry for the shared-world fast path. Consumers that want a WorldBank
-/// but exceed their footprint cap fall back to per-candidate / per-query
-/// re-sampling — correct but much slower. Each such event calls
-/// NoteBankFallback, which bumps a process-wide counter (surfaced as
-/// `bank_fallbacks` in batch stats) and prints a one-line stderr warning so
-/// operators can see they have fallen off the fast path. `wanted_bytes` is
-/// the footprint the consumer needed and `cap_bytes` the cap it exceeded.
-void NoteBankFallback(const char* consumer, size_t wanted_bytes,
-                      size_t cap_bytes);
-int64_t BankFallbackCount();
 
 }  // namespace relmax
 

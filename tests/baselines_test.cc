@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "baselines/centrality.h"
 #include "baselines/eigen.h"
@@ -213,30 +215,67 @@ TEST(GreedyTest, BudgetLargerThanPoolTakesEverything) {
   EXPECT_EQ(chosen->size(), fx.candidates.size());
 }
 
-TEST(GreedyTest, SharedWorldCapFallsBackToResampling) {
-  GreedyFixture fx;
-  SolverOptions capped = FastOptions(2);
-  capped.max_shared_world_bytes = 1;  // nothing fits: forced slow path
-  const int64_t before = BankFallbackCount();
-  auto capped_pick = SelectHillClimbing(fx.g, 0, 3, fx.candidates, capped);
-  ASSERT_TRUE(capped_pick.ok());
-  EXPECT_GT(BankFallbackCount(), before);
-
-  // The cap must route through exactly the reuse_worlds=false code, so the
-  // selections match it edge for edge.
-  SolverOptions slow = FastOptions(2);
-  slow.reuse_worlds = false;
-  auto slow_pick = SelectHillClimbing(fx.g, 0, 3, fx.candidates, slow);
-  ASSERT_TRUE(slow_pick.ok());
-  ASSERT_EQ(capped_pick->size(), slow_pick->size());
-  for (size_t i = 0; i < slow_pick->size(); ++i) {
-    EXPECT_EQ((*capped_pick)[i].src, (*slow_pick)[i].src);
-    EXPECT_EQ((*capped_pick)[i].dst, (*slow_pick)[i].dst);
+TEST(GreedyTest, CappedSharedWorldsPickTheUncappedEdges) {
+  // A random graph with many close candidates, so the picks follow the
+  // exact counts, and Z = 1100: lane blocks of 8, 8 and a partial 2 words.
+  for (const bool directed : {true, false}) {
+    Rng rng(directed ? 23 : 29);
+    constexpr NodeId kNodes = 14;
+    UncertainGraph g = directed ? UncertainGraph::Directed(kNodes)
+                                : UncertainGraph::Undirected(kNodes);
+    std::vector<Edge> candidates;
+    for (NodeId u = 0; u < kNodes; ++u) {
+      for (NodeId v = 0; v < kNodes; ++v) {
+        if (u == v || g.HasEdge(u, v)) continue;
+        if (rng.NextBernoulli(0.15)) {
+          ASSERT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.1, 0.6)).ok());
+        } else if (rng.NextBernoulli(0.12)) {
+          candidates.push_back({u, v, 0.5});
+        }
+      }
+    }
+    if (!directed) {
+      // An undirected candidate must not repeat one in the other direction.
+      std::vector<Edge> kept;
+      for (const Edge& c : candidates) {
+        bool twin = false;
+        for (const Edge& k : kept) {
+          twin = twin || (k.src == c.dst && k.dst == c.src);
+        }
+        if (!twin && !g.HasEdge(c.src, c.dst)) kept.push_back(c);
+      }
+      candidates = kept;
+    }
+    ASSERT_GE(candidates.size(), 8u);
+    SolverOptions options = FastOptions(4);
+    options.num_samples = 1100;
+    const NodeId t = kNodes - 1;
+    const auto top_k = SelectIndividualTopK(g, 0, t, candidates, options);
+    const auto climb = SelectHillClimbing(g, 0, t, candidates, options);
+    ASSERT_TRUE(top_k.ok());
+    ASSERT_TRUE(climb.ok());
+    // One lane block of the bank's rows plus the two per-node reach tables.
+    const size_t block =
+        (AugmentGraph(g, candidates).num_edges() + 2 * size_t{kNodes}) * 64;
+    for (const int threads : {1, 4}) {
+      for (const size_t budget : {size_t{1}, block, 2 * block}) {
+        SolverOptions capped = options;
+        capped.num_threads = threads;
+        capped.max_shared_world_bytes = budget;
+        const std::string what = std::string(directed ? "directed" : "undir") +
+                                 " threads " + std::to_string(threads) +
+                                 " budget " + std::to_string(budget);
+        const auto capped_top_k =
+            SelectIndividualTopK(g, 0, t, candidates, capped);
+        const auto capped_climb =
+            SelectHillClimbing(g, 0, t, candidates, capped);
+        ASSERT_TRUE(capped_top_k.ok());
+        ASSERT_TRUE(capped_climb.ok());
+        EXPECT_EQ(*capped_top_k, *top_k) << what;
+        EXPECT_EQ(*capped_climb, *climb) << what;
+      }
+    }
   }
-  // Asking for the slow path explicitly is a choice, not a fallback.
-  const int64_t after = BankFallbackCount();
-  ASSERT_TRUE(SelectHillClimbing(fx.g, 0, 3, fx.candidates, slow).ok());
-  EXPECT_EQ(BankFallbackCount(), after);
 }
 
 TEST(GreedyTest, SharedWorldSelectionIsLaneAndThreadInvariant) {

@@ -426,9 +426,10 @@ TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenCliThreadSweep, testing::Values(1, 4));
 
-// Sample counts outside [1, INT_MAX] and node ids past the largest NodeId
-// exit 1 with a typed message: no RELMAX_CHECK abort, no wrap through a cast
-// (--samples 4294967297 used to run with Z = 1, --s 4294967296 as node 0).
+// Sample counts outside [1, INT_MAX] and node ids that are not ids (past the
+// largest NodeId, negative, empty or not numbers), in --s/--t and in each
+// item of multi's --sources/--targets, exit 1 with a typed message: no
+// RELMAX_CHECK abort, no uncaught exception, no wrap through a cast.
 TEST(IntegrationTest, BadIntegerFlagsExitOneWithTypedError) {
   const std::string graph = " --graph " + WriteExample3Graph();
   const std::string queries = " --queries " + WriteExample3Queries();
@@ -456,6 +457,14 @@ TEST(IntegrationTest, BadIntegerFlagsExitOneWithTypedError) {
        "InvalidArgument: --s is not a node id"},
       {"budget" + graph + " --s 2 --t 4294967299",
        "InvalidArgument: --t is not a node id"},
+      {"multi" + graph + " --sources abc --targets 3",
+       "InvalidArgument: --sources item is not a node id: abc"},
+      {"multi" + graph + " --sources 1,,2 --targets 3",
+       "InvalidArgument: --sources item is not a node id: \n"},
+      {"multi" + graph + " --sources 4294967296 --targets 3",
+       "InvalidArgument: --sources item is not a node id: 4294967296"},
+      {"multi" + graph + " --sources 2 --targets 3,-1",
+       "InvalidArgument: --targets item is not a node id: -1"},
   };
   for (const Case& c : cases) {
     std::string out;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -477,40 +478,72 @@ TEST(QueryEngineTest, FallbackPathCountsEstimatesNotFloods) {
   EXPECT_EQ(result->stats.index_answers, 0u);
 }
 
-TEST(QueryEngineTest, TinyBankCapFallsBackAndCountsIt) {
-  const UncertainGraph g = RandomGraph(63, 10, 0.3, false);
-  QuerySet set;
-  for (NodeId t = 1; t < 6; ++t) set.AddSt(0, t);
+TEST(QueryEngineTest, CappedBankStreamsToTheUncappedBits) {
+  // Z = 1100 is 18 words: lane blocks of 8, 8 and a partial 2 with a
+  // partial tail word, so runs of one and two blocks both end short.
+  constexpr int kSamples = 1100;
+  constexpr NodeId kNodes = 14;
+  for (const bool directed : {true, false}) {
+    const UncertainGraph g = RandomGraph(63, kNodes, 0.2, directed);
+    QuerySet set;
+    for (NodeId s = 0; s < 4; ++s) {
+      for (NodeId t = 6; t < kNodes; ++t) set.AddSt(s, t);
+    }
+    set.AddAggregate({{0, 1, 2}, {9, 10, 11}, Aggregate::kAverage});
+    set.AddAggregate({{3, 5}, {12, 13}, Aggregate::kMinimum});
+    set.AddTopK({{{0, 7}, {1, 8}, {4, 9}, {5, 13}, {2, 12}}, 3});
 
-  QueryEngine shared(g, EngineOptions(256));
-  const auto want_shared = shared.Answer(set);
-  ASSERT_TRUE(want_shared.ok());
-  EXPECT_EQ(want_shared->stats.bank_fallbacks, 0u);
-  EXPECT_GT(want_shared->stats.floods, 0u);
+    QueryEngine uncapped(g, EngineOptions(kSamples));
+    const auto expected = uncapped.Answer(set);
+    ASSERT_TRUE(expected.ok());
+    QueryEngineOptions indexed_options = EngineOptions(kSamples);
+    indexed_options.use_index = true;
+    QueryEngine indexed(g, indexed_options);
+    const auto indexed_expected = indexed.Answer(set);
+    ASSERT_TRUE(indexed_expected.ok());
+    ASSERT_NE(indexed.index(), nullptr);
+    EXPECT_EQ(indexed_expected->st_values, expected->st_values);
 
-  // A cap smaller than one edge row cannot host the bank: the batch must
-  // fall off to per-query estimation, say so in the stats (and bump the
-  // process-wide counter the stderr warning reports), and still produce
-  // exactly the reuse_worlds=false answers.
-  QueryEngineOptions capped = EngineOptions(256);
-  capped.max_bank_bytes = 1;
-  const int64_t before = BankFallbackCount();
-  QueryEngine engine(g, capped);
-  const auto result = engine.Answer(set);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.bank_fallbacks, 1u);
-  EXPECT_EQ(result->stats.floods, 0u);
-  EXPECT_EQ(result->stats.fallback_estimates, result->stats.distinct_pairs);
-  EXPECT_GT(BankFallbackCount(), before);
+    for (const int threads : {1, 2, 4}) {
+      // One lane block of every resident row: E bank rows plus n flood
+      // scratch rows per worker, 512 worlds of 64 bytes each.
+      const size_t block = (g.num_edges() + threads * size_t{kNodes}) * 64;
+      for (const size_t budget :
+           {size_t{1}, block, 2 * block, 3 * block, size_t{256} << 20}) {
+        const std::string what = std::string(directed ? "directed" : "undir") +
+                                 " threads " + std::to_string(threads) +
+                                 " budget " + std::to_string(budget);
+        QueryEngineOptions options = EngineOptions(kSamples);
+        options.num_threads = threads;
+        options.max_bank_bytes = budget;
+        QueryEngine engine(g, options);
+        const auto result = engine.Answer(set);
+        ASSERT_TRUE(result.ok()) << what;
+        EXPECT_EQ(result->st_values, expected->st_values) << what;
+        EXPECT_EQ(result->aggregate_values, expected->aggregate_values)
+            << what;
+        EXPECT_EQ(result->top_k, expected->top_k) << what;
+        EXPECT_EQ(result->stats.fallback_estimates, 0u) << what;
+        EXPECT_EQ(result->stats.floods, expected->stats.floods) << what;
+        EXPECT_EQ(result->stats.bank_bytes, expected->stats.bank_bytes)
+            << what;
+      }
 
-  QueryEngineOptions per_query = EngineOptions(256);
-  per_query.reuse_worlds = false;
-  QueryEngine fallback(g, per_query);
-  const auto expected = fallback.Answer(set);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(result->st_values, expected->st_values);
-  // Asking for the slow path is not a fallback — the counter stays clean.
-  EXPECT_EQ(expected->stats.bank_fallbacks, 0u);
+      // An index needs the flat bank: under a tiny budget none is built,
+      // and the streamed batch returns the indexed engine's bits.
+      QueryEngineOptions tiny = indexed_options;
+      tiny.num_threads = threads;
+      tiny.max_bank_bytes = 1;
+      QueryEngine streamed(g, tiny);
+      const auto result = streamed.Answer(set);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(streamed.index(), nullptr);
+      EXPECT_EQ(result->stats.index_answers, 0u);
+      EXPECT_EQ(result->st_values, indexed_expected->st_values);
+      EXPECT_EQ(result->aggregate_values, indexed_expected->aggregate_values);
+      EXPECT_EQ(result->top_k, indexed_expected->top_k);
+    }
+  }
 }
 
 TEST(QueryEngineTest, IndexAnswersMatchFloodPathBitwise) {
@@ -688,21 +721,29 @@ TEST(QueryEngineTest, SuccessorEngineMatchesFreshEngine) {
 
 // Answer() on one shared engine from 4 threads at once: every value equals
 // the serial engine's, whatever the interleaving of lazy builds, cache
-// lookups / inserts / evictions and directed reach-row floods.
+// lookups / inserts / evictions, directed reach-row floods and world runs
+// streamed through a tiny budget.
 TEST(QueryEngineTest, ConcurrentAnswersOnOneEngineMatchSerial) {
   struct Config {
     const char* name;
     bool directed;
     bool use_index;
+    size_t max_bank_bytes;
+    int threads;
   };
-  constexpr int kSamples = 256;
+  constexpr int kSamples = 700;
   constexpr NodeId kNodes = 16;
-  for (const Config& config : {Config{"flood", true, false},
-                               Config{"undirected index", false, true},
-                               Config{"directed index", true, true}}) {
+  constexpr size_t kDefault = size_t{256} << 20;
+  for (const Config& config :
+       {Config{"flood", true, false, kDefault, 1},
+        Config{"undirected index", false, true, kDefault, 1},
+        Config{"directed index", true, true, kDefault, 1},
+        Config{"streamed", true, false, 1, 2},
+        Config{"streamed index", false, true, 1, 2}}) {
     const UncertainGraph g = RandomGraph(79, kNodes, 0.15, config.directed);
     QueryEngineOptions options = EngineOptions(kSamples);
     options.use_index = config.use_index;
+    options.num_threads = config.threads;
     // A small result cache, so inserts and evictions race too.
     options.max_cache_entries = 8;
     // Room for two count rows (n counts each), so concurrent directed
@@ -717,6 +758,9 @@ TEST(QueryEngineTest, ConcurrentAnswersOnOneEngineMatchSerial) {
     const auto expected = serial.Answer(all);
     ASSERT_TRUE(expected.ok());
 
+    // A 1-byte budget streams every batch one lane block at a time, drawing
+    // and flooding on the pool from every calling thread at once.
+    options.max_bank_bytes = config.max_bank_bytes;
     QueryEngine shared(g, options);
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
@@ -748,7 +792,9 @@ TEST(QueryEngineTest, ConcurrentAnswersOnOneEngineMatchSerial) {
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(mismatches.load(), 0) << config.name;
     EXPECT_LE(shared.cache_size(), options.max_cache_entries);
-    if (config.use_index) {
+    if (config.use_index && config.max_bank_bytes != kDefault) {
+      EXPECT_EQ(shared.index(), nullptr) << config.name;
+    } else if (config.use_index) {
       ASSERT_NE(shared.index(), nullptr);
       EXPECT_LE(shared.index()->reach_cache_bytes(),
                 options.index.max_reach_bytes);

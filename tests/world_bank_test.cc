@@ -622,5 +622,59 @@ TEST(WorldBankTest, DeriveFromLoadedRowsRecomputesThresholds) {
             (std::vector<EdgeId>{5, static_cast<EdgeId>(g.num_edges() - 1)}));
 }
 
+// A range bank is a run of the flat bank's columns: every word is drawn
+// from its global seed and the tail block's partial word is masked like the
+// flat bank's, for any run start, width and fill thread count.
+TEST(WorldBankTest, RangeBankRowsEqualFlatBankColumns) {
+  const UncertainGraph g = ManyEdgeGraph(67);
+  constexpr size_t kBlockWorlds = bitlane::kLaneWords * 64;
+  for (const int z : {1100, 1024, 300}) {
+    const WorldBank flat(g, {.num_samples = z, .seed = 71});
+    const size_t blocks = flat.lane_blocks();
+    ASSERT_EQ(WorldBank::LaneBlocks(z), blocks);
+    for (const int threads : {1, 4}) {
+      for (size_t first = 0; first < blocks; ++first) {
+        for (const size_t count :
+             {size_t{1}, size_t{2}, WorldBank::kAllBlocks}) {
+          const WorldBank range(
+              g, {.num_samples = z, .seed = 71, .num_threads = threads}, first,
+              count);
+          const size_t first_word = first * bitlane::kLaneWords;
+          const size_t run = std::min(count, blocks - first);
+          const size_t words = std::min(run * bitlane::kLaneWords,
+                                        flat.world_words() - first_word);
+          const std::string what = "z " + std::to_string(z) + " blocks [" +
+                                   std::to_string(first) + ", +" +
+                                   std::to_string(run) + ") threads " +
+                                   std::to_string(threads);
+          ASSERT_EQ(range.lane_blocks(), run) << what;
+          ASSERT_EQ(range.world_words(), words) << what;
+          ASSERT_EQ(static_cast<size_t>(range.num_worlds()),
+                    std::min(z - first * kBlockWorlds, run * kBlockWorlds))
+              << what;
+          for (EdgeId e = 0; e < g.num_edges(); ++e) {
+            const std::span<const uint64_t> row = flat.EdgeUpWorlds(e);
+            ASSERT_EQ(ToVec(range.EdgeUpWorlds(e)),
+                      ToVec(row.subspan(first_word, words)))
+                << what << " edge " << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The widest run of whole lane blocks whose rows fit the budget, at least
+// one.
+TEST(WorldBankTest, BlocksWithinFitsWholeLaneBlocks) {
+  EXPECT_EQ(WorldBank::BlocksWithin(10, 1), 1u);
+  EXPECT_EQ(WorldBank::BlocksWithin(10, 10 * 64 - 1), 1u);
+  EXPECT_EQ(WorldBank::BlocksWithin(10, 10 * 64 * 3), 3u);
+  EXPECT_EQ(WorldBank::BlocksWithin(10, 10 * 64 * 4 - 1), 3u);
+  EXPECT_EQ(WorldBank::LaneBlocks(1), 1u);
+  EXPECT_EQ(WorldBank::LaneBlocks(512), 1u);
+  EXPECT_EQ(WorldBank::LaneBlocks(513), 2u);
+}
+
 }  // namespace
 }  // namespace relmax

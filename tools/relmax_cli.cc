@@ -37,6 +37,7 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,19 +83,6 @@ StatusOr<UncertainGraph> LoadGraph(const Flags& flags) {
   return ReadEdgeList(path);
 }
 
-std::vector<NodeId> ParseNodeList(const std::string& csv) {
-  std::vector<NodeId> nodes;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    nodes.push_back(
-        static_cast<NodeId>(std::stoul(csv.substr(pos, comma - pos))));
-    pos = comma + 1;
-  }
-  return nodes;
-}
-
 // --name as a sample count in [1, INT_MAX], `def` when absent. A count
 // outside that range (or not a number) gets a typed error instead of
 // reaching a RELMAX_CHECK or wrapping through a cast to int.
@@ -113,14 +101,32 @@ StatusOr<int> SamplesFlag(const Flags& flags, const std::string& name,
   return static_cast<int>(count);
 }
 
-// --name as a node id (ParseNodeId), so no value wraps onto another node.
-StatusOr<NodeId> NodeFlag(const Flags& flags, const std::string& name) {
-  const std::string value = flags.GetString(name, "");
+// `value` of --what as a node id (ParseNodeId), so no value wraps onto
+// another node.
+StatusOr<NodeId> ToNodeId(const std::string& what, const std::string& value) {
   const std::optional<NodeId> id = ParseNodeId(value);
   if (!id) {
-    return Status::InvalidArgument("--" + name + " is not a node id: " + value);
+    return Status::InvalidArgument("--" + what + " is not a node id: " + value);
   }
   return *id;
+}
+
+StatusOr<NodeId> NodeFlag(const Flags& flags, const std::string& name) {
+  return ToNodeId(name, flags.GetString(name, ""));
+}
+
+// --name as a comma-separated list of node ids (empty when absent). Every
+// item, an empty one too, must be a node id.
+StatusOr<std::vector<NodeId>> NodeListFlag(const Flags& flags,
+                                           const std::string& name) {
+  std::vector<NodeId> nodes;
+  std::istringstream csv(flags.GetString(name, ""));
+  for (std::string item; std::getline(csv, item, ',');) {
+    const auto id = ToNodeId(name + " item", item);
+    if (!id.ok()) return id.status();
+    nodes.push_back(*id);
+  }
+  return nodes;
 }
 
 // Unknown flag values fail loudly: a typo like --estimator=rrs silently
@@ -269,11 +275,11 @@ int CmdSolve(const Flags& flags) {
 int CmdMulti(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
-  const std::vector<NodeId> sources =
-      ParseNodeList(flags.GetString("sources", ""));
-  const std::vector<NodeId> targets =
-      ParseNodeList(flags.GetString("targets", ""));
-  if (sources.empty() || targets.empty()) {
+  const auto sources = NodeListFlag(flags, "sources");
+  if (!sources.ok()) return Fail(sources.status().ToString());
+  const auto targets = NodeListFlag(flags, "targets");
+  if (!targets.ok()) return Fail(targets.status().ToString());
+  if (sources->empty() || targets->empty()) {
     return Fail("need --sources a,b,... and --targets c,d,...");
   }
   const std::string agg_name = flags.GetString("aggregate", "avg");
@@ -290,7 +296,7 @@ int CmdMulti(const Flags& flags) {
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
   WallTimer timer;
-  auto solution = MaximizeMultiReliability(*graph, sources, targets,
+  auto solution = MaximizeMultiReliability(*graph, *sources, *targets,
                                            aggregate, *options);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf("%s aggregate: %.4f -> %.4f (gain %.4f) in %.2f s\n",
