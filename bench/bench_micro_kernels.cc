@@ -1,7 +1,9 @@
 // Micro-kernel benchmarks (google-benchmark): the primitives the solver
 // pipeline is built from — MC sampling, RSS, reliability-to-all passes,
-// most-reliable-path Dijkstra, Yen top-l, search-space elimination, bank
-// derive and index update after a write, and the delta-gain world ensemble.
+// most-reliable-path Dijkstra, Yen top-l, search-space elimination, world
+// floods on an undirected and a directed graph, bank derive and index
+// update after a write, and the delta-gain world ensemble. A benchmark added
+// here must also be listed in tools/check_bench_json.py.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -163,6 +165,60 @@ void BM_ReachabilityFixpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_ReachabilityFixpoint)
     ->ArgsProduct({{500, 2000, 8000}, {1, 2, 4}})
+    ->UseRealTime();
+
+// The same one-source flood on serve_flood's graph (as_topology 0.2, graph
+// seed 42): directed, one giant SCC, so a flood requeues most nodes several
+// times and the frontier's bookkeeping is what it costs. Iterations cycle
+// over 16 query sources. The `propagations` counter is the mean number of
+// propagation steps that added bits per source, summed over the ranges the
+// flood is split into (ReachabilityFixpoint's return value).
+const Dataset& DirectedGraph() {
+  static const Dataset* dataset = [] {
+    auto d = MakeDataset("as_topology", 0.2, 42);
+    RELMAX_CHECK(d.ok());
+    return new Dataset(*std::move(d));
+  }();
+  return *dataset;
+}
+
+void BM_DirectedFlood(benchmark::State& state) {
+  const UncertainGraph& g = DirectedGraph().graph;
+  const int z = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
+  const WorldBank bank(g, {.num_samples = z, .seed = 29, .num_threads = 1});
+  auto queries = GenerateQueries(g, 16, {.seed = 3});
+  RELMAX_CHECK(queries.ok());
+  std::vector<std::vector<NodeId>> sources;
+  for (const auto& [s, t] : *queries) sources.push_back({s});
+  const size_t blocks = bank.lane_blocks();
+  const size_t ranges = bank.FloodRanges(1, workers);
+  int64_t propagations = 0;
+  bitlane::BitMatrix reach;
+  for (const std::vector<NodeId>& source : sources) {
+    for (size_t r = 0; r < ranges; ++r) {
+      const size_t first = r * blocks / ranges;
+      propagations += bank.ReachabilityFixpoint(
+          source[0], /*backward=*/false, bank.AllEdges(), &reach,
+          WorldBank::SeedPolicy::kClearScratch, first,
+          (r + 1) * blocks / ranges - first);
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    bank.FloodSources(
+        sources[next], workers,
+        [](size_t, size_t, size_t, const bitlane::BitMatrix& reach) {
+          benchmark::DoNotOptimize(reach.row(0));
+        });
+    if (++next == sources.size()) next = 0;
+  }
+  state.counters["propagations"] =
+      static_cast<double>(propagations) / static_cast<double>(sources.size());
+  state.SetItemsProcessed(state.iterations() * z);
+}
+BENCHMARK(BM_DirectedFlood)
+    ->ArgsProduct({{2000, 8000}, {1, 2, 4}})
     ->UseRealTime();
 
 // Bank fill: sampling Z worlds over every edge into the bit-matrix. One

@@ -14,7 +14,7 @@ std::atomic<LaneMode> g_mode{LaneMode::kAuto};
 
 LaneMode Mode() {
   const LaneMode mode = g_mode.load(std::memory_order_relaxed);
-  return mode == LaneMode::kAuto ? LaneMode::kBlocked : mode;
+  return mode == LaneMode::kAuto ? LaneMode::kBranchFree : mode;
 }
 
 void SetMode(LaneMode mode) { g_mode.store(mode, std::memory_order_relaxed); }
@@ -25,8 +25,8 @@ const char* ModeName(LaneMode mode) {
       return "auto";
     case LaneMode::kScalar:
       return "scalar";
-    case LaneMode::kBlocked:
-      return "blocked";
+    case LaneMode::kBranchFree:
+      return "branch-free";
   }
   internal::CheckFailed("unhandled LaneMode", __FILE__, __LINE__);
 }

@@ -14,27 +14,24 @@ namespace relmax {
 namespace bitlane {
 
 /// Words per lane block: 8 × 64 bits = 512 bits = one 64-byte cache line.
-/// The blocked kernels walk whole blocks with no per-word branching, so the
-/// compiler autovectorizes them at whatever width the target ISA offers
-/// (SSE2 folds a block in 4 ops, AVX2 in 2, AVX-512 in 1), and a block load
-/// never straddles a cache line. The CI vectorization gate
-/// (tools/check_vectorization.sh) pins that PropagateBlock below actually
-/// compiles to vector code.
+/// Matrix rows are padded to whole blocks, so a block never straddles a
+/// cache line, and a lane block is the unit a flood's, a fill's or a
+/// streamed run's world range is cut in.
 inline constexpr size_t kLaneWords = 8;
 inline constexpr size_t kLaneBytes = kLaneWords * sizeof(uint64_t);
 
-/// Which inner kernel the world fixpoint runs. The result bits are
-/// identical either way — the fixpoint of the monotone word algebra
+/// Which word step the world fixpoint runs. The result bits are identical
+/// either way — the fixpoint of the monotone word algebra
 /// (`reach[v] |= reach[u] & up[e]`) is unique regardless of evaluation
-/// order or width — which the conformance sweeps pin. The knob exists so
-/// tests can compare the paths and so codegen regressions can be bisected.
+/// order — which the conformance sweeps pin. The knob exists so tests can
+/// compare the default step against its early-exit reference.
 enum class LaneMode {
-  kAuto,     ///< resolve to kBlocked
-  kScalar,   ///< one word at a time, early-exit per word (pre-SIMD kernel)
-  kBlocked,  ///< branch-free whole-block kernel (autovectorized)
+  kAuto,        ///< resolve to kBranchFree
+  kScalar,      ///< PropagateWordsScalar: early exit per word (reference)
+  kBranchFree,  ///< PropagateWords: no branch on a word's outcome
 };
 
-/// Process-wide kernel selection. Mode() resolves kAuto to kBlocked.
+/// Process-wide kernel selection. Mode() resolves kAuto to kBranchFree.
 LaneMode Mode();
 void SetMode(LaneMode mode);
 const char* ModeName(LaneMode mode);
@@ -51,49 +48,55 @@ class ScopedLaneMode {
   LaneMode saved_;
 };
 
-/// Blocked propagation step over one lane block:
-/// `dst |= src & up & ~dst`, returning the OR of all newly-set words (zero
-/// iff the block was already settled). Branch-free on purpose — the three
-/// loads, two ANDs, ANDNOT, OR, and the running reduction all vectorize —
-/// and `__restrict` holds because a propagation step never runs on a
-/// self-loop (src and dst are distinct rows) and `up` lives in a different
-/// matrix than either.
-inline uint64_t PropagateBlock(const uint64_t* __restrict src,
+/// One propagation step over the words a dirty mask names: for each set bit
+/// i of `dirty`, word w = base + i gets `dst[w] |= src[w] & up[w]`. Returns
+/// the words that gained bits, as a mask over the same bit positions.
+/// Which words gain is data-dependent and close to random, so the step
+/// never branches on it; `__restrict` holds because a propagation step
+/// never runs on a self-loop (src and dst are distinct rows) and `up` lives
+/// in a different matrix than either.
+inline uint64_t PropagateWords(uint64_t dirty, const uint64_t* __restrict src,
                                const uint64_t* __restrict up,
-                               uint64_t* __restrict dst) {
-  uint64_t any = 0;
-  for (size_t i = 0; i < kLaneWords; ++i) {
-    const uint64_t add = src[i] & up[i] & ~dst[i];
-    dst[i] |= add;
-    any |= add;
+                               uint64_t* __restrict dst, size_t base) {
+  uint64_t gained = 0;
+  while (dirty != 0) {
+    const int i = __builtin_ctzll(dirty);
+    dirty &= dirty - 1;
+    const size_t w = base + static_cast<size_t>(i);
+    const uint64_t add = src[w] & up[w] & ~dst[w];
+    dst[w] |= add;
+    gained |= static_cast<uint64_t>(add != 0) << i;
   }
-  return any;
+  return gained;
 }
 
-/// Scalar reference for the same step: per-word early exit, no blocking.
-/// Must compute exactly the same bits as PropagateBlock (pinned by the
-/// lane-width conformance axis in the tests).
-inline uint64_t PropagateBlockScalar(const uint64_t* src, const uint64_t* up,
-                                     uint64_t* dst) {
-  uint64_t any = 0;
-  for (size_t i = 0; i < kLaneWords; ++i) {
-    const uint64_t add = src[i] & up[i] & ~dst[i];
+/// Reference for the same step: per-word early exit, storing only the words
+/// that gain. Must compute exactly the same bits and mask as PropagateWords
+/// (pinned by the lane-mode conformance axis in the tests).
+inline uint64_t PropagateWordsScalar(uint64_t dirty, const uint64_t* src,
+                                     const uint64_t* up, uint64_t* dst,
+                                     size_t base) {
+  uint64_t gained = 0;
+  while (dirty != 0) {
+    const int i = __builtin_ctzll(dirty);
+    dirty &= dirty - 1;
+    const size_t w = base + static_cast<size_t>(i);
+    const uint64_t add = src[w] & up[w] & ~dst[w];
     if (add != 0) {
-      dst[i] |= add;
-      any |= add;
+      dst[w] |= add;
+      gained |= uint64_t{1} << i;
     }
   }
-  return any;
+  return gained;
 }
 
 /// Dense rows × words bit matrix in one flat, 64-byte-aligned allocation —
 /// the storage behind the WorldBank's edge rows and every flood's reach
 /// scratch. Each row is padded to a whole number of lane blocks
-/// (stride_words()), so a row is a sequence of aligned blocks the blocked
-/// kernels can walk without tail cases. Padding words are zero at
-/// allocation and must stay zero: bank rows never set them, and the
-/// fixpoint cannot turn them on because `up` is zero there (add = src & up
-/// is identically zero in the pad).
+/// (stride_words()), so every row starts on a cache line and a range of
+/// whole blocks needs no tail case. Padding words are zero at allocation
+/// and must stay zero: bank rows never set them, and the fixpoint relaxes
+/// only logical words.
 class BitMatrix {
  public:
   BitMatrix() = default;

@@ -31,6 +31,52 @@ int RangeWorlds(int num_worlds, size_t first_block, size_t num_blocks) {
       std::min(left, std::min(num_blocks, left) * kBlockWorlds));
 }
 
+// A flood range must carry at least this many estimated (arc, word)
+// relaxations (FloodBlockWork) to repay waking a pool thread for it.
+// Measured on a 4-core x86-64 box: an estimated relaxation costs 3-17 ns of
+// flood time and a hand-off 50-100 us, so a range this size runs for at
+// least about 0.15 ms. lastfm 0.5 at Z = 2000 (BM_ReachabilityFixpoint)
+// estimates 34k per source and floods in 0.11 ms whole-row against 0.15 ms
+// in two ranges, so it stays whole-row; as_topology 0.2 (BM_DirectedFlood)
+// estimates 225k and floods in about 4 ms, so it fans out to 4 workers.
+constexpr double kMinRangeWork = 48 * 1024;
+
+// Estimated (arc, word) relaxations per lane block of one flood of `g`: the
+// nodes a flood reaches in some world of a word, times their mean arc count,
+// times the block's words. Up arcs form a branching process whose mean
+// offspring b = sum_v p_in(v) p_out(v) / sum_v p_out(v) is the expected
+// number of up arcs out of the head of an up arc. When b >= 1 a flood
+// reaches a giant component, taken as every node; when b < 1 it reaches
+// 1 + d / (1 - b) nodes per world (d: the mean expected up out-degree), so
+// at most 64 times that in a word's 64 worlds.
+double FloodBlockWork(const UncertainGraph& g) {
+  const size_t n = g.num_nodes();
+  if (n == 0) return 0;
+  std::vector<double> p_in(n, 0.0);
+  std::vector<double> p_out(n, 0.0);
+  for (size_t e = 0; e < g.num_edges(); ++e) {
+    const Edge& edge = g.EdgeById(static_cast<EdgeId>(e));
+    p_out[edge.src] += edge.prob;
+    p_in[edge.dst] += edge.prob;
+    if (!g.directed()) {
+      p_out[edge.dst] += edge.prob;
+      p_in[edge.src] += edge.prob;
+    }
+  }
+  double up_arcs = 0;
+  double offspring = 0;
+  for (size_t v = 0; v < n; ++v) {
+    up_arcs += p_out[v];
+    offspring += p_in[v] * p_out[v];
+  }
+  const double nodes = static_cast<double>(n);
+  const double b = up_arcs > 0 ? offspring / up_arcs : 0;
+  const double per_world = b >= 1 ? nodes : 1 + up_arcs / nodes / (1 - b);
+  const double arcs =
+      static_cast<double>(g.num_edges()) * (g.directed() ? 1 : 2);
+  return std::min(nodes, 64 * per_world) * (arcs / nodes) * bitlane::kLaneWords;
+}
+
 // 0 .. num_edges - 1, ascending.
 std::vector<EdgeId> EdgeIds(size_t num_edges) {
   std::vector<EdgeId> edges(num_edges);
@@ -126,6 +172,7 @@ WorldBank::WorldBank(const UncertainGraph& universe, const Options& options,
       seed_(options.seed),
       thresholds_(RowThresholds(universe)),
       all_edges_(EdgeIds(universe.num_edges())),
+      flood_block_work_(FloodBlockWork(universe)),
       // A range bank's rows come straight from the OS, so a streamed run's
       // pages go back when it is dropped, not into a malloc arena.
       up_(num_worlds_ < options.num_samples ? bitlane::BitMatrix::Mapped()
@@ -142,6 +189,7 @@ WorldBank::WorldBank(const WorldBank& prev, const UncertainGraph& universe,
       seed_(options.seed),
       thresholds_(RowThresholds(universe)),
       all_edges_(EdgeIds(universe.num_edges())),
+      flood_block_work_(FloodBlockWork(universe)),
       up_(universe.num_edges(), world_words_) {
   RELMAX_CHECK(options.num_samples == prev.num_worlds_);
   RELMAX_CHECK(options.seed == prev.seed_);
@@ -191,6 +239,7 @@ WorldBank::WorldBank(const UncertainGraph& universe, int num_worlds,
       seed_(seed),
       thresholds_(RowThresholds(universe)),
       all_edges_(EdgeIds(universe.num_edges())),
+      flood_block_work_(FloodBlockWork(universe)),
       up_(std::move(up)) {
   RELMAX_CHECK(num_worlds > 0);
   RELMAX_CHECK(up_.rows() == universe.num_edges());
@@ -224,33 +273,39 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
     at_source[words - 1] = TailMask(num_worlds_);
   }
 
-  // Frontier-driven worklist over lane blocks. Per node, one dirty bit per
-  // lane block ("this block gained worlds since the node was last relaxed").
-  // Popping a node snapshots-and-clears its dirty mask, then relaxes only
-  // those blocks along its incident arcs; a neighbor whose block actually
-  // changes is (re)queued. Nodes and blocks that never change are never
-  // touched — unlike the previous dense sweeps, which re-walked every word
-  // of every active edge each pass until quiescence. The converged bits are
-  // schedule-independent (the fixpoint of the monotone word algebra is
-  // unique), so this keeps the (threads, lane-width)-invariance contract.
+  // Frontier-driven worklist over 64-world words. Per node, one dirty bit
+  // per word of the range ("this word gained worlds since the node was last
+  // relaxed"). Popping a node snapshots-and-clears its dirty mask, then
+  // relaxes only those words along its incident arcs; the words of a
+  // neighbor that actually gain worlds are ORed into its mask once per arc,
+  // and the neighbor is (re)queued. Nodes and words that never change are
+  // never touched. The converged bits are schedule-independent (the
+  // fixpoint of the monotone word algebra is unique), so this keeps the
+  // (threads, lane-mode)-invariance contract.
   // thread_local: floods are hot (per candidate, per source) and the masks
   // are small, so the allocations are paid once per thread, not per call.
-  const size_t blocks = reach->blocks_per_row();
-  const size_t mask_words = (blocks + 63) / 64;
+  const size_t mask_words = (words + 63) / 64;
   thread_local std::vector<uint64_t> dirty_storage;
   thread_local std::vector<uint8_t> queued_storage;
   thread_local std::vector<uint8_t> active_storage;
-  thread_local std::vector<NodeId> ring;
-  thread_local std::vector<uint64_t> popped_mask;
-  dirty_storage.assign(num_nodes * mask_words, 0);
+  thread_local std::vector<NodeId> ring_storage;
+  // One extra mask after the nodes' holds the popped node's snapshot.
+  dirty_storage.assign((num_nodes + 1) * mask_words, 0);
   queued_storage.assign(num_nodes, 0);
-  active_storage.assign(universe_.num_edges(), 0);
-  ring.resize(num_nodes);
-  popped_mask.resize(mask_words);
+  ring_storage.resize(num_nodes);
   uint64_t* const dirty = dirty_storage.data();
+  uint64_t* const popped = dirty + num_nodes * mask_words;
   uint8_t* const queued = queued_storage.data();
-  uint8_t* const active_flag = active_storage.data();
-  for (EdgeId e : active) active_flag[e] = 1;
+  NodeId* const ring = ring_storage.data();
+  // Every bank edge is active for the flood's commonest caller (the bank's
+  // own AllEdges()), which needs no per-edge flags.
+  const bool all_active =
+      &active == &all_edges_ && universe_.num_edges() == up_.rows();
+  if (!all_active) {
+    active_storage.assign(universe_.num_edges(), 0);
+    for (EdgeId e : active) active_storage[e] = 1;
+  }
+  const uint8_t* const active_flag = active_storage.data();
   // The worklist is a FIFO ring of n slots: `queued` admits a node at most
   // once at a time, so n slots suffice however often nodes are requeued
   // (several times each on a typical flood).
@@ -264,33 +319,26 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
     ++ring_count;
   };
 
-  const uint64_t all_blocks_mask =
-      (blocks & 63) ? (uint64_t{1} << (blocks & 63)) - 1 : ~uint64_t{0};
   if (seeds == SeedPolicy::kSeedsAreFacts && !reallocated) {
-    // Every nonzero block is a fact the flood must start from (the source
+    // Every nonzero word is a fact the flood must start from (the source
     // row included — it was just forced on above).
     for (size_t v = 0; v < num_nodes; ++v) {
       const uint64_t* const row = reach->row(v);
-      uint64_t any_block = 0;
-      for (size_t b = 0; b < blocks; ++b) {
-        uint64_t any = 0;
-        for (size_t i = 0; i < bitlane::kLaneWords; ++i) {
-          any |= row[b * bitlane::kLaneWords + i];
-        }
-        if (any != 0) {
-          dirty[v * mask_words + (b >> 6)] |= uint64_t{1} << (b & 63);
-          any_block = 1;
-        }
+      uint64_t* const dv = dirty + v * mask_words;
+      uint64_t any = 0;
+      for (size_t w = 0; w < words; ++w) {
+        const uint64_t nonzero = row[w] != 0;
+        dv[w >> 6] |= nonzero << (w & 63);
+        any |= nonzero;
       }
-      if (any_block != 0) enqueue(static_cast<NodeId>(v));
+      if (any != 0) enqueue(static_cast<NodeId>(v));
     }
   } else {
-    // Fresh scratch: the source row is the only nonzero row, and it is
-    // nonzero in every block that carries logical words.
-    for (size_t mw = 0; mw + 1 < mask_words; ++mw) {
-      dirty[source * mask_words + mw] = ~uint64_t{0};
-    }
-    dirty[source * mask_words + (mask_words - 1)] = all_blocks_mask;
+    // Fresh scratch: the source row is the only nonzero row, and every
+    // logical word of it is nonzero.
+    uint64_t* const ds = dirty + source * mask_words;
+    for (size_t mw = 0; mw + 1 < mask_words; ++mw) ds[mw] = ~uint64_t{0};
+    ds[mask_words - 1] = TailMask(static_cast<int>(words));
     enqueue(source);
   }
 
@@ -309,39 +357,31 @@ int64_t WorldBank::ReachabilityFixpoint(NodeId source, bool backward,
     queued[u] = 0;
     uint64_t* const du = dirty + u * mask_words;
     for (size_t mw = 0; mw < mask_words; ++mw) {
-      popped_mask[mw] = du[mw];
+      popped[mw] = du[mw];
       du[mw] = 0;
     }
     const uint64_t* const src_row = reach->row(u);
     const size_t arcs_end = csr.end(u);
     for (size_t a = csr.begin(u); a < arcs_end; ++a) {
       const EdgeId e = csr.edge_ids[a];
-      if (active_flag[e] == 0) continue;
+      if (!all_active && active_flag[e] == 0) continue;
       const NodeId v = csr.heads[a];
       if (v == u) continue;  // self-loop: cannot change reachability
       const uint64_t* const up = up_.row(e) + word_begin;
       uint64_t* const dst_row = reach->row(v);
-      bool v_changed = false;
+      uint64_t* const dv = dirty + v * mask_words;
+      uint64_t v_gained = 0;
       for (size_t mw = 0; mw < mask_words; ++mw) {
-        uint64_t avail = popped_mask[mw];
-        while (avail != 0) {
-          const size_t b =
-              mw * 64 + static_cast<size_t>(__builtin_ctzll(avail));
-          avail &= avail - 1;
-          const size_t off = b * bitlane::kLaneWords;
-          const uint64_t changed =
-              scalar ? bitlane::PropagateBlockScalar(src_row + off, up + off,
-                                                     dst_row + off)
-                     : bitlane::PropagateBlock(src_row + off, up + off,
-                                               dst_row + off);
-          if (changed != 0) {
-            dirty[v * mask_words + mw] |= uint64_t{1} << (b & 63);
-            ++propagated;
-            v_changed = true;
-          }
-        }
+        const uint64_t gained =
+            scalar ? bitlane::PropagateWordsScalar(popped[mw], src_row, up,
+                                                   dst_row, mw * 64)
+                   : bitlane::PropagateWords(popped[mw], src_row, up, dst_row,
+                                             mw * 64);
+        dv[mw] |= gained;
+        v_gained |= gained;
+        propagated += __builtin_popcountll(gained);
       }
-      if (v_changed && queued[v] == 0) enqueue(v);
+      if (v_gained != 0 && queued[v] == 0) enqueue(v);
     }
   }
   return propagated;
@@ -351,7 +391,9 @@ size_t WorldBank::FloodRanges(size_t num_sources, int num_threads) const {
   const size_t workers = static_cast<size_t>(ResolveNumThreads(num_threads));
   const size_t per_source =
       num_sources == 0 ? 1 : (workers + num_sources - 1) / num_sources;
-  return std::max<size_t>(1, std::min(lane_blocks(), per_source));
+  const auto by_work = static_cast<size_t>(
+      flood_block_work_ * static_cast<double>(lane_blocks()) / kMinRangeWork);
+  return std::max<size_t>(1, std::min({lane_blocks(), per_source, by_work}));
 }
 
 void WorldBank::FloodSources(const std::vector<NodeId>& sources,

@@ -28,10 +28,9 @@ namespace relmax {
 /// all read the bank through this one class.
 ///
 /// Storage is one flat, 64-byte-aligned bitlane::BitMatrix whose rows are
-/// whole 512-bit lane blocks, so the fixpoint inner step moves a cache line
-/// per operation and autovectorizes (see bitlane.h). The fixpoint itself is
-/// frontier-driven: it tracks which lane blocks of which nodes changed last
-/// pass and only re-propagates those.
+/// padded to whole 512-bit lane blocks (see bitlane.h). The fixpoint is
+/// frontier-driven: it tracks which 64-world words of which nodes gained
+/// worlds since the node was last relaxed and only re-propagates those.
 ///
 /// Determinism: every bank bit is a pure function of (seed, edge id, world,
 /// p_e). Bit-word w of edge e's row is drawn from its own stream, seeded by
@@ -45,8 +44,8 @@ namespace relmax {
 /// **bit-identical for any num_threads**, and a bank derived from its
 /// predecessor after a graph change (the derive constructor) equals a fresh
 /// fill bit for bit. Fixpoint answers are additionally invariant to the lane
-/// kernel (scalar vs blocked/SIMD): the fixpoint of the monotone word
-/// algebra is unique, so block scheduling cannot change the converged bits.
+/// mode (early-exit vs branch-free word step): the fixpoint of the monotone
+/// word algebra is unique, so scheduling cannot change the converged bits.
 /// The bank is immutable after construction and safe to read from multiple
 /// threads.
 class WorldBank {
@@ -192,15 +191,14 @@ class WorldBank {
   /// With `backward`, directed graphs propagate against arc direction
   /// (reachability *to* `source`). `*reach` is shaped to (num_nodes × the
   /// range's words) and zeroed unless it already matches and `seeds ==
-  /// kSeedsAreFacts` (see SeedPolicy). Iterating `active` in rough path
-  /// order converges in ~2 passes.
+  /// kSeedsAreFacts` (see SeedPolicy).
   ///
-  /// Returns the number of (edge, lane-block) propagation steps that
+  /// Returns the number of (arc, 64-world word) propagation steps that
   /// actually added bits — 0 iff the seeded state was already a fixpoint.
-  /// The frontier pass only revisits blocks dirtied since they were last
-  /// relaxed, so a converged re-run touches each seeded block once and
+  /// The frontier pass only revisits words dirtied since they were last
+  /// relaxed, so a converged re-run touches each seeded word once and
   /// changes nothing. Deterministic for a given (bank, arguments): the
-  /// result is invariant under lane kernel and thread count.
+  /// result is invariant under lane mode and thread count.
   int64_t ReachabilityFixpoint(
       NodeId source, bool backward, const std::vector<EdgeId>& active,
       bitlane::BitMatrix* reach, SeedPolicy seeds = SeedPolicy::kClearScratch,
@@ -216,9 +214,12 @@ class WorldBank {
 
   /// The ranges FloodSources cuts each of `num_sources` sources into on
   /// `num_threads` workers (<= 0: all hardware threads):
-  /// min(lane_blocks(), ceil(workers / num_sources)), at least 1. One
-  /// source keeps every worker busy; once there are as many sources as
-  /// workers every flood stays whole-row, which is the fastest per world.
+  /// min(lane_blocks(), ceil(workers / num_sources), the ranges a flood's
+  /// estimated work fills with enough to repay a worker's hand-off), at
+  /// least 1. One long flood keeps every worker busy; a flood that dies out
+  /// within a few hops stays whole-row, as does every flood once there are
+  /// as many sources as workers, which is the fastest per world. Fixed for
+  /// a bank: it depends only on the universe as constructed and Z.
   size_t FloodRanges(size_t num_sources, int num_threads) const;
 
   /// Forward floods of every source over all bank edges, fanned out over
@@ -263,6 +264,10 @@ class WorldBank {
   /// 0 .. num_edges() - 1: sized by the bank's own rows, not
   /// universe().num_edges(), since the graph may grow edges afterwards.
   std::vector<EdgeId> all_edges_;
+  /// Estimated (arc, word) relaxations per lane block of one flood of the
+  /// universe as constructed; FloodRanges splits a source only when each
+  /// range gets enough of them.
+  double flood_block_work_;
   /// Row e = world bitset for edge e (bits beyond num_worlds stay zero,
   /// including the lane-block padding words — the fixpoint relies on it).
   bitlane::BitMatrix up_;

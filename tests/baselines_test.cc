@@ -282,7 +282,7 @@ TEST(GreedyTest, SharedWorldSelectionIsLaneAndThreadInvariant) {
   GreedyFixture fx;
   std::vector<Edge> reference;
   for (const bitlane::LaneMode mode :
-       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+       {bitlane::LaneMode::kBranchFree, bitlane::LaneMode::kScalar}) {
     const bitlane::ScopedLaneMode scoped(mode);
     for (const int threads : {1, 4}) {
       SolverOptions options = FastOptions(2);

@@ -96,7 +96,7 @@ TEST(IndexIoTest, RoundTripSweepIsBitIdentical) {
     const WorldBank ref_bank(g, {.num_samples = kZ, .seed = 7});
     ReliabilityIndex ref(ref_bank, {});
     for (const bitlane::LaneMode mode :
-         {bitlane::LaneMode::kScalar, bitlane::LaneMode::kBlocked}) {
+         {bitlane::LaneMode::kScalar, bitlane::LaneMode::kBranchFree}) {
       for (const int threads : {1, 3}) {
         const bitlane::ScopedLaneMode scoped(mode);
         const WorldBank::Options options{

@@ -222,7 +222,7 @@ TEST_P(ExactOracleConformanceSweep, EstimatorsMatchBruteForceEnumeration) {
       g, s, t, {.num_samples = kSamples, .seed = 91, .num_threads = 1});
   EXPECT_NEAR(mc_ref, exact, band) << "MC";
   for (const bitlane::LaneMode mode :
-       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+       {bitlane::LaneMode::kBranchFree, bitlane::LaneMode::kScalar}) {
     const bitlane::ScopedLaneMode scoped(mode);
     for (int threads : {1, 3}) {
       const double mc = EstimateReliability(
@@ -245,7 +245,7 @@ TEST_P(ExactOracleConformanceSweep, EstimatorsMatchBruteForceEnumeration) {
   const WorldBank bank(g, {.num_samples = kSamples, .seed = 94});
   double fixpoint_ref = -1.0;
   for (const bitlane::LaneMode mode :
-       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+       {bitlane::LaneMode::kBranchFree, bitlane::LaneMode::kScalar}) {
     const bitlane::ScopedLaneMode scoped(mode);
     const double fixpoint = bank.ConnectedFraction(s, t, bank.AllEdges(), {});
     if (fixpoint_ref < 0.0) {
@@ -311,7 +311,7 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
   // enumeration.
   std::vector<double> reference;
   for (const bitlane::LaneMode mode :
-       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+       {bitlane::LaneMode::kBranchFree, bitlane::LaneMode::kScalar}) {
     const bitlane::ScopedLaneMode scoped(mode);
     for (const int threads : {1, 3}) {
       QueryEngineOptions shared = options;
@@ -341,7 +341,7 @@ TEST_P(BatchQueryConformanceSweep, BatchedAnswersMatchPerQueryAndOracle) {
   // reproduce the shared-flood answers bit-for-bit (hence also within 3σ of
   // the oracle), for any thread count and lane kernel.
   for (const bitlane::LaneMode mode :
-       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+       {bitlane::LaneMode::kBranchFree, bitlane::LaneMode::kScalar}) {
     const bitlane::ScopedLaneMode scoped(mode);
     for (const int threads : {1, 3}) {
       QueryEngineOptions indexed = options;
@@ -403,7 +403,7 @@ TEST_P(BankConsumerConformanceSweep, ConsumersBitEqualAcrossLanesThreads) {
   std::vector<std::pair<NodeId, NodeId>> greedy_ref;
   std::vector<double> batch_ref;
   for (const bitlane::LaneMode mode :
-       {bitlane::LaneMode::kBlocked, bitlane::LaneMode::kScalar}) {
+       {bitlane::LaneMode::kBranchFree, bitlane::LaneMode::kScalar}) {
     const bitlane::ScopedLaneMode scoped(mode);
     for (const int threads : {1, 3}) {
       const std::string where = std::string(bitlane::ModeName(mode)) +

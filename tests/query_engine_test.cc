@@ -161,11 +161,13 @@ TEST(QueryEngineTest, SharedWorldAnswersAreThreadInvariant) {
   }
 }
 
-// Windows with one source split its worlds into ranges across the workers;
-// windows with many sources flood whole rows. Either way the values and the
-// flood count are those of one thread.
+// Windows with one source split its worlds into ranges across the workers
+// (the graph is large enough for its floods to be split); windows with many
+// sources flood whole rows. Either way the values and the flood count are
+// those of one thread.
 TEST(QueryEngineTest, RangeShardedFloodsAreThreadInvariant) {
-  const UncertainGraph g = RandomGraph(37, 24, 0.12, /*directed=*/true);
+  const UncertainGraph g = RandomGraph(37, 300, 0.05, /*directed=*/true);
+  ASSERT_GT(WorldBank(g, {.num_samples = 2000}).FloodRanges(1, 4), 1u);
   QuerySet one_source;
   for (NodeId t = 0; t < 24; ++t) one_source.AddSt(5, t);
   QuerySet many_sources;
@@ -201,8 +203,9 @@ TEST(QueryEngineTest, RangeShardedFloodsAreThreadInvariant) {
 // evicted as it is cached) — and the cache never exceeds its cap.
 TEST(QueryEngineTest, DirectedIndexFloodsEachColdSourceOncePerBatch) {
   constexpr int kSamples = 2000;
-  constexpr NodeId kNodes = 20;
-  const UncertainGraph g = RandomGraph(83, kNodes, 0.12, /*directed=*/true);
+  constexpr NodeId kNodes = 300;
+  const UncertainGraph g = RandomGraph(83, kNodes, 0.05, /*directed=*/true);
+  ASSERT_GT(WorldBank(g, {.num_samples = kSamples}).FloodRanges(1, 4), 1u);
   // Sources repeat, within and across runs.
   const std::vector<NodeId> sources = {0, 0, 1, 2, 0, 3, 1, 1, 4, 0, 5,
                                        6, 7, 3, 8, 9, 2, 4, 10, 0, 11};

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gen/datasets.h"
 #include "graph/exact_reliability.h"
 #include "graph/uncertain_graph.h"
 #include "sampling/bitlane.h"
@@ -81,14 +82,14 @@ TEST(WorldBankTest, FloodBitsInvariantAcrossLaneModeAndThreads) {
     // leave whole pad words inside the 512-bit lane block.
     bitlane::BitMatrix expected;
     {
-      bitlane::ScopedLaneMode set(bitlane::LaneMode::kBlocked);
+      bitlane::ScopedLaneMode set(bitlane::LaneMode::kBranchFree);
       WorldBank bank(g, {.num_samples = 500, .seed = 29, .num_threads = 1});
       bank.ReachabilityFixpoint(0, /*backward=*/false, bank.AllEdges(),
                                 &expected);
     }
     for (int threads : {1, 4}) {
       for (bitlane::LaneMode mode :
-           {bitlane::LaneMode::kScalar, bitlane::LaneMode::kBlocked}) {
+           {bitlane::LaneMode::kScalar, bitlane::LaneMode::kBranchFree}) {
         bitlane::ScopedLaneMode set(mode);
         WorldBank bank(g,
                        {.num_samples = 500, .seed = 29,
@@ -177,17 +178,26 @@ TEST(WorldBankTest, WorldsWithAllEdgesMatchesPerWorldScan) {
             WorldBank::CountBits(up, 64 * up.size()));
 }
 
-// Per-world reference: BFS over the edges present in world w.
-bool BruteForceConnects(const WorldBank& bank, const UncertainGraph& g, int w,
-                        NodeId s, NodeId t,
-                        const std::vector<EdgeId>& active) {
-  std::vector<char> edge_active(g.num_edges(), 0);
-  for (EdgeId e : active) edge_active[e] = 1;
+// Per-world reference for a flood with facts: the nodes reachable in world
+// w from `source` or from any node whose `facts` row has world w set, over
+// the `active` edges that are up in w, against arc direction if `backward`.
+std::vector<char> BruteForceReach(const WorldBank& bank,
+                                  const UncertainGraph& g, int w,
+                                  NodeId source, bool backward,
+                                  const std::vector<char>& edge_active,
+                                  const bitlane::BitMatrix& facts) {
   std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> queue = {s};
-  seen[s] = 1;
+  std::vector<NodeId> queue;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v == source || ((facts.row(v)[w / 64] >> (w % 64)) & 1)) {
+      seen[v] = 1;
+      queue.push_back(v);
+    }
+  }
   for (size_t head = 0; head < queue.size(); ++head) {
-    for (const Arc& arc : g.OutArcs(queue[head])) {
+    const NodeId u = queue[head];
+    const auto arcs = backward && g.directed() ? g.InArcs(u) : g.OutArcs(u);
+    for (const Arc& arc : arcs) {
       if (!edge_active[arc.edge_id] || !bank.EdgePresent(w, arc.edge_id) ||
           seen[arc.to]) {
         continue;
@@ -196,7 +206,7 @@ bool BruteForceConnects(const WorldBank& bank, const UncertainGraph& g, int w,
       queue.push_back(arc.to);
     }
   }
-  return seen[t];
+  return seen;
 }
 
 TEST(WorldBankTest, ReachabilityFixpointMatchesPerWorldBfs) {
@@ -208,12 +218,17 @@ TEST(WorldBankTest, ReachabilityFixpointMatchesPerWorldBfs) {
     for (size_t e = 0; e + 1 < g.num_edges(); ++e) {
       partial.push_back(static_cast<EdgeId>(e));
     }
+    const bitlane::BitMatrix no_facts(g.num_nodes(), bank.world_words());
     for (const std::vector<EdgeId>& active : {bank.AllEdges(), partial}) {
+      std::vector<char> edge_active(g.num_edges(), 0);
+      for (EdgeId e : active) edge_active[e] = 1;
       bitlane::BitMatrix reach;
       bank.ReachabilityFixpoint(0, /*backward=*/false, active, &reach);
       for (int w = 0; w < bank.num_worlds(); ++w) {
+        const std::vector<char> expected = BruteForceReach(
+            bank, g, w, 0, /*backward=*/false, edge_active, no_facts);
         EXPECT_EQ((reach.row(t)[w / 64] >> (w % 64)) & 1u,
-                  BruteForceConnects(bank, g, w, 0, t, active) ? 1u : 0u)
+                  expected[t] ? 1u : 0u)
             << "world " << w << " |active| = " << active.size();
       }
     }
@@ -320,7 +335,7 @@ std::vector<uint64_t> Columns(const bitlane::BitMatrix& whole, NodeId v,
 TEST(WorldBankTest, EveryRangeSplitEqualsWholeRowFlood) {
   for (const bool directed : {true, false}) {
     const UncertainGraph g = RandomGraph(41, 24, 0.12, directed);
-    for (const int z : {1, 63, 64, 65, 511, 512, 513, 2000}) {
+    for (const int z : {1, 63, 64, 65, 511, 512, 513, 2000, 4097}) {
       WorldBank bank(g, {.num_samples = z, .seed = 43, .num_threads = 1});
       const size_t blocks = bank.lane_blocks();
       ASSERT_EQ(blocks, (bank.world_words() + bitlane::kLaneWords - 1) /
@@ -376,47 +391,139 @@ TEST(WorldBankTest, EveryRangeSplitEqualsWholeRowFlood) {
   }
 }
 
-// FloodSources' (source × range) fan-out hands back every source's whole
-// rows, one range per shard, for any worker count.
-TEST(WorldBankTest, FloodSourcesCoversEveryRowForAnyWorkerCount) {
-  const UncertainGraph g = RandomGraph(47, 24, 0.12, /*directed=*/true);
-  WorldBank bank(g, {.num_samples = 2000, .seed = 53, .num_threads = 1});
-  for (const std::vector<NodeId>& sources :
-       {std::vector<NodeId>{3}, std::vector<NodeId>{0, 7, 11}}) {
-    std::vector<bitlane::BitMatrix> expected(sources.size());
-    for (size_t i = 0; i < sources.size(); ++i) {
-      bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
-                                bank.AllEdges(), &expected[i]);
-    }
-    for (const int workers : {1, 2, 4, 8}) {
-      const size_t ranges = bank.FloodRanges(sources.size(), workers);
-      EXPECT_EQ(ranges, std::min<size_t>(bank.lane_blocks(),
-                                         (workers + sources.size() - 1) /
-                                             sources.size()));
-      std::vector<bitlane::BitMatrix> got(sources.size());
-      for (bitlane::BitMatrix& m : got) {
-        m.EnsureShape(g.num_nodes(), bank.world_words());
+// The frontier keeps one dirty bit per (node, 64-world word), so a node's
+// mask spans several uint64_t once the range has more than 64 words. Every
+// bit of every node must equal a per-world BFS at Z on both sides of that
+// boundary: directed and undirected, forward and backward, over all edges
+// and a subset, from scratch and from facts set in one word of one block.
+TEST(WorldBankTest, WordFrontierMatchesPerWorldBfsPastOneMaskWord) {
+  for (const bool directed : {true, false}) {
+    const UncertainGraph g = RandomGraph(61, 16, 0.15, directed);
+    for (const int z : {4095, 4096, 4097, 8257}) {
+      WorldBank bank(g, {.num_samples = z, .seed = 67, .num_threads = 1});
+      std::vector<EdgeId> subset;
+      for (size_t e = 1; e < g.num_edges(); e += 2) {
+        subset.push_back(static_cast<EdgeId>(e));
       }
-      std::vector<int> visits(sources.size() * ranges, 0);
-      bank.FloodSources(
-          sources, workers,
-          [&](size_t i, size_t r, size_t first_word,
-              const bitlane::BitMatrix& reach) {
-            ++visits[i * ranges + r];
-            for (NodeId v = 0; v < g.num_nodes(); ++v) {
-              std::copy_n(reach.row(v), reach.words(),
-                          got[i].row(v) + first_word);
+      for (const std::vector<EdgeId>& active : {bank.AllEdges(), subset}) {
+        std::vector<char> edge_active(g.num_edges(), 0);
+        for (EdgeId e : active) edge_active[e] = 1;
+        for (const bool backward : {false, true}) {
+          for (const bool seeded : {false, true}) {
+            // Facts: node 9 is reachable in some worlds of the last word
+            // only, which is past the first mask word once z > 4096.
+            bitlane::BitMatrix facts(g.num_nodes(), bank.world_words());
+            if (seeded) {
+              facts.row(9)[bank.world_words() - 1] =
+                  0x8000000000000001u & WorldBank::TailMask(z);
             }
-          });
-      EXPECT_EQ(visits, std::vector<int>(visits.size(), 1));
-      for (size_t i = 0; i < sources.size(); ++i) {
-        for (NodeId v = 0; v < g.num_nodes(); ++v) {
-          ASSERT_EQ(Row(got[i], v), Row(expected[i], v))
-              << "source " << sources[i] << " node " << v << " workers "
-              << workers;
+            bitlane::BitMatrix reach(g.num_nodes(), bank.world_words());
+            std::copy_n(facts.row(9), bank.world_words(), reach.row(9));
+            bank.ReachabilityFixpoint(
+                2, backward, active, &reach,
+                seeded ? WorldBank::SeedPolicy::kSeedsAreFacts
+                       : WorldBank::SeedPolicy::kClearScratch);
+            for (int w = 0; w < z; ++w) {
+              const std::vector<char> expected = BruteForceReach(
+                  bank, g, w, 2, backward, edge_active, facts);
+              for (NodeId v = 0; v < g.num_nodes(); ++v) {
+                ASSERT_EQ((reach.row(v)[w / 64] >> (w % 64)) & 1u,
+                          expected[v] ? 1u : 0u)
+                    << "z " << z << " world " << w << " node " << v
+                    << (directed ? " directed" : " undirected")
+                    << (backward ? " backward" : " forward") << " |active| "
+                    << active.size() << (seeded ? " seeded" : "");
+              }
+            }
+          }
         }
       }
     }
+  }
+}
+
+// FloodSources' (source × range) fan-out hands back every source's whole
+// rows, one range per shard, for any worker count: on a graph whose floods
+// are too short to split, and on one whose floods split into several ranges.
+TEST(WorldBankTest, FloodSourcesCoversEveryRowForAnyWorkerCount) {
+  struct Case {
+    UncertainGraph graph;
+    int z;
+  };
+  const Case cases[] = {
+      {RandomGraph(47, 24, 0.12, /*directed=*/true), 2000},
+      {RandomGraph(59, 200, 0.05, /*directed=*/true), 8257},
+  };
+  for (const Case& c : cases) {
+    const UncertainGraph& g = c.graph;
+    WorldBank bank(g, {.num_samples = c.z, .seed = 53, .num_threads = 1});
+    const bool splits = bank.FloodRanges(1, 4) > 1;
+    EXPECT_EQ(splits, g.num_nodes() > 24) << "z " << c.z;
+    for (const std::vector<NodeId>& sources :
+         {std::vector<NodeId>{3}, std::vector<NodeId>{0, 7, 11}}) {
+      std::vector<bitlane::BitMatrix> expected(sources.size());
+      for (size_t i = 0; i < sources.size(); ++i) {
+        bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
+                                  bank.AllEdges(), &expected[i]);
+      }
+      for (const int workers : {1, 2, 4, 8}) {
+        const size_t ranges = bank.FloodRanges(sources.size(), workers);
+        const size_t most = std::min<size_t>(
+            bank.lane_blocks(),
+            (workers + sources.size() - 1) / sources.size());
+        EXPECT_GE(ranges, 1u);
+        EXPECT_LE(ranges, most);
+        if (!splits) {
+          EXPECT_EQ(ranges, 1u);
+        }
+        std::vector<bitlane::BitMatrix> got(sources.size());
+        for (bitlane::BitMatrix& m : got) {
+          m.EnsureShape(g.num_nodes(), bank.world_words());
+        }
+        std::vector<int> visits(sources.size() * ranges, 0);
+        bank.FloodSources(
+            sources, workers,
+            [&](size_t i, size_t r, size_t first_word,
+                const bitlane::BitMatrix& reach) {
+              ++visits[i * ranges + r];
+              for (NodeId v = 0; v < g.num_nodes(); ++v) {
+                std::copy_n(reach.row(v), reach.words(),
+                            got[i].row(v) + first_word);
+              }
+            });
+        EXPECT_EQ(visits, std::vector<int>(visits.size(), 1));
+        for (size_t i = 0; i < sources.size(); ++i) {
+          for (NodeId v = 0; v < g.num_nodes(); ++v) {
+            ASSERT_EQ(Row(got[i], v), Row(expected[i], v))
+                << "source " << sources[i] << " node " << v << " workers "
+                << workers << " z " << c.z;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A source is split into world ranges only when its flood is long enough to
+// repay a worker's hand-off: lastfm's sparse, low-probability floods die out
+// within a few hops and stay whole-row at Z = 2000 however many workers
+// there are, while as_topology's floods percolate through one giant SCC and
+// fan out over every worker.
+TEST(WorldBankTest, FloodRangesSplitOnlyFloodsWorthAWorker) {
+  const StatusOr<Dataset> lastfm = MakeDataset("lastfm", 0.5, 7);
+  const StatusOr<Dataset> as_topology = MakeDataset("as_topology", 0.2, 42);
+  ASSERT_TRUE(lastfm.ok());
+  ASSERT_TRUE(as_topology.ok());
+  const WorldBank short_floods(lastfm->graph, {.num_samples = 2000});
+  const WorldBank long_floods(as_topology->graph, {.num_samples = 2000});
+  for (const int workers : {1, 2, 4, 8}) {
+    EXPECT_EQ(short_floods.FloodRanges(1, workers), 1u)
+        << "workers " << workers;
+    EXPECT_EQ(long_floods.FloodRanges(1, workers),
+              std::min<size_t>(long_floods.lane_blocks(), workers))
+        << "workers " << workers;
+    // Once every worker has a source, no source is split.
+    EXPECT_EQ(long_floods.FloodRanges(workers, workers), 1u);
   }
 }
 

@@ -14,12 +14,17 @@ Validates three shapes, auto-detected from the top-level keys:
 
 Every `environment` block must have the canonical bench::EnvironmentJson
 shape ({cpus_available, compiler, benchmark_library, note}) so the schema
-cannot drift between files again. Used by the bench-smoke CI job and
-runnable locally:
+cannot drift between files again. Every run also checks that each
+BENCHMARK(BM_...) registered in bench/bench_micro_kernels.cc is in
+KNOWN_MICRO_BENCHMARKS, so a benchmark added without its allowlist entry
+fails here even when no benchmark output is checked. Used by the bench-smoke
+CI job and runnable locally:
 
   python3 tools/check_bench_json.py BENCH_*.json /tmp/batch.json
 """
 import json
+import pathlib
+import re
 import sys
 
 ENVIRONMENT_KEYS = {
@@ -60,11 +65,17 @@ KNOWN_MICRO_BENCHMARKS = frozenset({
     "BM_YenTopL",
     "BM_SearchSpaceElimination",
     "BM_ReachabilityFixpoint",
+    "BM_DirectedFlood",
     "BM_WorldBankFill",
+    "BM_WorldBankDerive",
+    "BM_IndexApplyBankUpdate",
     "BM_WorldEnsembleBuild",
     "BM_IndexSave",
     "BM_IndexLoad",
 })
+
+MICRO_SOURCE = (pathlib.Path(__file__).resolve().parent.parent / "bench" /
+                "bench_micro_kernels.cc")
 
 
 class SchemaError(Exception):
@@ -152,11 +163,27 @@ def check_file(path):
     return "entry"
 
 
+def check_micro_source(path):
+    """Every micro-benchmark the suite registers must be allowlisted."""
+    registered = re.findall(r"\bBENCHMARK\((BM_\w+)\)", path.read_text())
+    require(registered, "no BENCHMARK(BM_...) registrations found")
+    unknown = sorted(set(registered) - KNOWN_MICRO_BENCHMARKS)
+    require(not unknown,
+            f"{unknown} not in KNOWN_MICRO_BENCHMARKS (add them when adding "
+            f"a micro-kernel benchmark)")
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     failed = False
+    try:
+        check_micro_source(MICRO_SOURCE)
+        print(f"{MICRO_SOURCE}: OK (every registered benchmark is known)")
+    except (SchemaError, OSError) as error:
+        print(f"{MICRO_SOURCE}: FAIL: {error}", file=sys.stderr)
+        failed = True
     for path in argv[1:]:
         try:
             kind = check_file(path)

@@ -144,8 +144,9 @@ echo "== flood path at --lanes 4: world-range shards =="
 # world range) shards on max(--threads, --lanes) = 4 workers. Bursts from one
 # source split each flood into ranges; bursts from many sources flood whole
 # rows. Either way the rows must equal `relmax batch` at one thread. Z = 2000
-# is four 512-world lane blocks, so the split is real.
-"$CLI" gen --dataset as_topology --scale 0.05 --seed 42 \
+# is four 512-world lane blocks, and as_topology 0.1's floods are long
+# enough for FloodRanges to split them in two, so the split is real.
+"$CLI" gen --dataset as_topology --scale 0.1 --seed 42 \
   --out "$WORK/flood_graph.txt" > /dev/null
 python3 - "$WORK/flood_graph.txt" > "$WORK/flood_queries.txt" <<'PY'
 import random
