@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <iterator>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -73,7 +76,8 @@ void ServeCore::Submit(NodeId s, NodeId t, QueryCallback done) {
           " pending, cap " + std::to_string(options_.max_queue) + ")");
     } else {
       ++stats_.submitted;
-      queue_.push_back(Pending{StQuery{s, t}, current_, std::move(done)});
+      queue_.push_back(Pending{StQuery{s, t}, current_, std::move(done),
+                               std::chrono::steady_clock::now()});
     }
   }
   if (!shed.ok()) {
@@ -114,30 +118,47 @@ void ServeCore::LaneLoop() {
       if (stopping_) return;
       continue;
     }
-    // Bounded-delay micro-batch: wait up to window_us for more arrivals so
-    // one shared flood can serve them all; a full window or shutdown cuts
-    // the wait short. Skipped while draining a shutdown backlog.
-    if (options_.window_us > 0 && !stopping_ &&
-        queue_.size() < options_.max_batch) {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.window_us);
-      while (!stopping_ && queue_.size() < options_.max_batch) {
-        if (work_cv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
+    // Bounded-delay micro-batch: wait until window_us after the oldest
+    // pending arrival for more arrivals, so one shared flood can serve them
+    // all; a full window or shutdown cuts the wait short. A window left
+    // queued by another lane's cut is already due. Skipped while draining a
+    // shutdown backlog.
+    if (options_.window_us > 0) {
+      const auto window = std::chrono::microseconds(options_.window_us);
+      while (!stopping_ && !queue_.empty() &&
+             queue_.size() < options_.max_batch &&
+             work_cv_.wait_until(lock, queue_.front().arrived + window) !=
+                 std::cv_status::timeout) {
       }
       if (queue_.empty()) continue;  // another lane drained it
     }
-    // Take the longest same-snapshot prefix (up to max_batch): one window is
-    // answered by one engine over one graph state.
+    // The window is the longest same-snapshot prefix (up to max_batch): one
+    // window is answered by one engine over one graph state.
     std::shared_ptr<const GraphSnapshot> snapshot = queue_.front().snapshot;
-    std::vector<Pending> window;
-    while (!queue_.empty() && window.size() < options_.max_batch &&
-           queue_.front().snapshot == snapshot) {
-      window.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+    size_t prefix = 0;
+    while (prefix < queue_.size() && prefix < options_.max_batch &&
+           queue_[prefix].snapshot == snapshot) {
+      ++prefix;
     }
+    // Split the window over the idle lanes, this one included: take the
+    // queries of its first ceil(D / idle) distinct sources and leave the rest
+    // queued, in order and due, for the next idle lane. A source's queries
+    // stay on one lane, so every source is still flooded once.
+    const auto prefix_end =
+        queue_.begin() + static_cast<std::ptrdiff_t>(prefix);
+    std::unordered_map<NodeId, size_t> rank;  // first-appearance order
+    for (auto it = queue_.begin(); it != prefix_end; ++it) {
+      rank.emplace(it->query.s, rank.size());
+    }
+    const size_t idle = static_cast<size_t>(options_.lanes) - active_lanes_;
+    const size_t keep = (rank.size() + idle - 1) / idle;
+    const auto take_end = std::stable_partition(
+        queue_.begin(), prefix_end,
+        [&](const Pending& p) { return rank.at(p.query.s) < keep; });
+    std::vector<Pending> window(std::make_move_iterator(queue_.begin()),
+                                std::make_move_iterator(take_end));
+    queue_.erase(queue_.begin(), take_end);
+    if (!queue_.empty()) work_cv_.notify_one();
     ++active_lanes_;
     lock.unlock();
 

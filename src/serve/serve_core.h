@@ -1,6 +1,7 @@
 #ifndef RELMAX_SERVE_SERVE_CORE_H_
 #define RELMAX_SERVE_SERVE_CORE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -27,10 +28,12 @@ struct ServeOptions {
   /// bit-identical to `relmax batch` for the same tuple, regardless of how
   /// arrivals were windowed. The writer saves `index_file` once per epoch.
   QueryEngineOptions engine;
-  /// Micro-batch bounded-delay window: once a lane sees the first pending
-  /// query it waits at most this long for more arrivals before answering the
-  /// window through one shared flood. 0 disables the wait (every drain takes
-  /// whatever is queued).
+  /// Micro-batch bounded-delay window, measured from the oldest pending
+  /// arrival: a lane waits until that query has been queued this long (or the
+  /// window is full) before answering the window through one shared flood,
+  /// so a query that arrived while every lane was busy is due as soon as a
+  /// lane frees up. 0 disables the wait (every drain takes whatever is
+  /// queued).
   int window_us = 2000;
   /// Maximum queries answered through one window (one engine batch).
   size_t max_batch = 256;
@@ -39,6 +42,11 @@ struct ServeOptions {
   /// drop. 0 sheds everything (useful to test the shed path).
   size_t max_queue = 1024;
   /// Lane threads answering windows concurrently on their epoch's engine.
+  /// A due window is split by source over the idle lanes: with D distinct
+  /// sources and `idle` lanes not answering (the cutting lane included), the
+  /// cutting lane takes the queries of the first ceil(D / idle) sources and
+  /// leaves the rest, due, to the next idle lane. A source's queries never
+  /// span two lanes, so each source is still flooded once.
   /// ServeCore runs the engine on a budget of max(engine threads, lanes)
   /// workers (engine threads <= 0: all hardware threads): the writer derives
   /// each epoch with it, and each window's floods fan out over (source ×
@@ -78,9 +86,12 @@ struct ServeStats {
 ///
 /// Readers: Submit() pins the query to the current epoch's snapshot and
 /// enqueues it (or sheds / rejects it synchronously, always through the
-/// typed callback). Lane threads drain the queue in arrival order, wait up
-/// to `window_us` for a fuller window, and answer each window through one
-/// batch on its snapshot's shared engine — one flood per distinct source.
+/// typed callback). Lane threads drain the queue in arrival order, wait until
+/// the oldest pending query is `window_us` old for a fuller window, and
+/// answer each window through one batch on its snapshot's shared engine —
+/// one flood per distinct source. A due window is split by source over the
+/// idle lanes (ServeOptions::lanes), so concurrent lanes flood disjoint
+/// source sets.
 ///
 /// Writers: UpdateEdgeProb()/AddEdge() copy the current graph, apply the
 /// mutation, derive the next engine from the current one (redraw the bank's
@@ -133,6 +144,7 @@ class ServeCore {
     StQuery query;
     std::shared_ptr<const GraphSnapshot> snapshot;
     QueryCallback done;
+    std::chrono::steady_clock::time_point arrived;  // stamped by Submit
   };
 
   void LaneLoop();

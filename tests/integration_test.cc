@@ -426,10 +426,13 @@ TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenCliThreadSweep, testing::Values(1, 4));
 
-// Sample counts outside [1, INT_MAX] and node ids that are not ids (past the
-// largest NodeId, negative, empty or not numbers), in --s/--t and in each
-// item of multi's --sources/--targets, exit 1 with a typed message: no
-// RELMAX_CHECK abort, no uncaught exception, no wrap through a cast.
+// Sample counts outside [1, INT_MAX], serve's integer flags outside their
+// ranges (--lanes and --threads at most 256: each is an OS thread) and node
+// ids that are not ids (past the largest NodeId, negative, empty or not
+// numbers), in --s/--t and in each item of multi's --sources/--targets, exit
+// 1 with a typed message: no RELMAX_CHECK abort, no uncaught exception, no
+// wrap through a cast. Every serve case fails while parsing flags, so no
+// daemon or lane thread starts.
 TEST(IntegrationTest, BadIntegerFlagsExitOneWithTypedError) {
   const std::string graph = " --graph " + WriteExample3Graph();
   const std::string queries = " --queries " + WriteExample3Queries();
@@ -449,6 +452,29 @@ TEST(IntegrationTest, BadIntegerFlagsExitOneWithTypedError) {
       {"batch" + graph + queries + " --samples 0", samples},
       {"batch" + graph + queries + " --samples 4294967297", samples},
       {"serve" + graph + " --samples 0", samples},
+      {"serve" + graph + " --lanes 4294967297",
+       "InvalidArgument: --lanes must be an integer in [1, 256]: 4294967297"},
+      {"serve" + graph + " --lanes 0", "InvalidArgument: --lanes must be"},
+      {"serve" + graph + " --lanes 257", "InvalidArgument: --lanes must be"},
+      {"serve" + graph + " --window-us 4294967296",
+       "InvalidArgument: --window-us must be an integer in [0, 2147483647]"},
+      {"serve" + graph + " --window-us -1",
+       "InvalidArgument: --window-us must be"},
+      {"serve" + graph + " --threads abc",
+       "InvalidArgument: --threads must be an integer in [0, 256]: abc"},
+      {"serve" + graph + " --threads 4294967297",
+       "InvalidArgument: --threads must be"},
+      {"serve" + graph + " --max-batch 0",
+       "InvalidArgument: --max-batch must be an integer in [1, "},
+      {"serve" + graph + " --max-batch 12x",
+       "InvalidArgument: --max-batch must be"},
+      {"serve" + graph + " --max-queue -1",
+       "InvalidArgument: --max-queue must be an integer in [0, "},
+      {"serve" + graph + " --max-queue 9223372036854775808",
+       "InvalidArgument: --max-queue must be"},
+      {"serve" + graph + " --port 65536",
+       "InvalidArgument: --port must be an integer in [0, 65535]: 65536"},
+      {"serve" + graph + " --port abc", "InvalidArgument: --port must be"},
       {"estimate" + graph + " --s 4294967296 --t 3",
        "InvalidArgument: --s is not a node id: 4294967296"},
       {"estimate" + graph + " --s 2 --t -1",

@@ -1,20 +1,24 @@
 // Online query daemon: protocol parsing, scripted-stream answers pinned
 // bit-identical to the batch engine, response ordering, typed shed /
 // rejection, epoch-snapshot semantics under a concurrent writer (readers on
-// epoch N never see N+1) with every lane sharing one engine per epoch, the
-// epoch-scoped cache stats, one index-file save per epoch from the writer,
-// and socket serving with a clean shutdown. Carries the `sanitize` CTest
-// label: the snapshot/lane handoffs are exactly where instrumented builds
-// earn their keep.
+// epoch N never see N+1) with every lane sharing one engine per epoch, due
+// windows split by source over idle lanes and timed from their oldest
+// arrival, the epoch-scoped cache stats, one index-file save per epoch from
+// the writer, and socket serving with a clean shutdown. Carries the
+// `sanitize` CTest label: the snapshot/lane handoffs are exactly where
+// instrumented builds earn their keep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -428,6 +432,105 @@ TEST(ServeCoreTest, EvictionStatsResetAcrossEpochSwap) {
   stats = core.Stats();
   EXPECT_EQ(stats.cache_evictions_epoch, 0u);  // new cache, no pressure yet
   EXPECT_EQ(stats.cache_entries, 1u);
+}
+
+// A due window is split by source over the idle lanes. Each callback holds
+// its lane (for 10 s at most) until a callback has fired on every lane, so
+// the second cut always finds the first lane busy: at lanes 2 the first cut
+// sees 2 idle lanes and takes half the sources, the second sees 1 and takes
+// the rest. A source's queries stay on one lane (floods == sources), and
+// every value equals one batch over the whole set.
+TEST(ServeCoreTest, DueWindowSplitsBySourceOverIdleLanes) {
+  const UncertainGraph g = RandomGraph(23, 32, 0.1);
+  struct Case {
+    int lanes;
+    NodeId sources;
+    uint64_t batches;
+    size_t max_window;
+  };
+  for (const Case& c :
+       std::vector<Case>{{2, 8, 2, 4}, {2, 2, 2, 4}, {1, 8, 1, 8}}) {
+    SCOPED_TRACE("lanes " + std::to_string(c.lanes) + ", sources " +
+                 std::to_string(c.sources));
+    std::vector<StQuery> pairs;
+    QuerySet set;
+    for (NodeId i = 0; i < 8; ++i) {
+      pairs.push_back({i % c.sources, 31 - i});
+      set.AddSt(pairs.back().s, pairs.back().t);
+    }
+    ServeOptions options;
+    options.engine.num_samples = 1000;
+    options.engine.seed = 3;
+    options.window_us = 200000;  // all 8 submits land in one window
+    options.lanes = c.lanes;
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::thread::id> lanes_seen;
+    std::vector<double> values(pairs.size(), -1.0);
+    const auto gate =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    ServeCore core(g, options);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      core.Submit(pairs[i].s, pairs[i].t,
+                  [&, i](const StatusOr<double>& r, uint64_t) {
+                    EXPECT_TRUE(r.ok()) << r.status().ToString();
+                    std::unique_lock<std::mutex> lock(mu);
+                    values[i] = r.ok() ? *r : -1.0;
+                    lanes_seen.insert(std::this_thread::get_id());
+                    cv.notify_all();
+                    cv.wait_until(lock, gate, [&] {
+                      return lanes_seen.size() >=
+                             static_cast<size_t>(c.lanes);
+                    });
+                  });
+    }
+    core.Drain();
+    const ServeStats stats = core.Stats();
+    EXPECT_EQ(stats.batches, c.batches);
+    EXPECT_EQ(stats.max_window, c.max_window);
+    EXPECT_EQ(stats.floods, c.sources);
+    EXPECT_EQ(stats.answered, pairs.size());
+
+    const auto batch = QueryEngine(g, options.engine).Answer(set);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(values[i], batch->st_values[i]) << "query " << i;
+    }
+  }
+}
+
+// The window is timed from the oldest pending arrival, not from when a lane
+// frees up. A query submitted while the only lane is held ~300 ms by a
+// callback is already due (200 ms window) when the lane returns, so it is
+// answered ~300 ms after its submit; timing the window from the lane's
+// wake-up would answer it ~500 ms after.
+TEST(ServeCoreTest, WindowIsTimedFromTheOldestArrival) {
+  ServeOptions options;
+  options.engine.num_samples = 200;
+  options.window_us = 200000;
+  ServeCore core(Example3(), options);
+
+  std::promise<void> holding;
+  core.Submit(2, 3, [&](const StatusOr<double>& r, uint64_t) {
+    EXPECT_TRUE(r.ok());
+    holding.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  });
+  holding.get_future().wait();
+
+  const auto submitted = std::chrono::steady_clock::now();
+  std::promise<std::chrono::steady_clock::time_point> answered;
+  core.Submit(2, 1, [&](const StatusOr<double>& r, uint64_t) {
+    EXPECT_TRUE(r.ok());
+    answered.set_value(std::chrono::steady_clock::now());
+  });
+  const auto latency = answered.get_future().get() - submitted;
+  core.Drain();
+  EXPECT_LT(latency, std::chrono::milliseconds(450))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(latency)
+             .count()
+      << " ms";
 }
 
 // Readers pinned on epoch N keep answering bit-identically to a

@@ -83,22 +83,31 @@ StatusOr<UncertainGraph> LoadGraph(const Flags& flags) {
   return ReadEdgeList(path);
 }
 
-// --name as a sample count in [1, INT_MAX], `def` when absent. A count
-// outside that range (or not a number) gets a typed error instead of
-// reaching a RELMAX_CHECK or wrapping through a cast to int.
-StatusOr<int> SamplesFlag(const Flags& flags, const std::string& name,
-                          int def) {
+// --name as an integer in [lo, hi], `def` when absent. A value outside that
+// range (or not a number) gets a typed error instead of reaching a
+// RELMAX_CHECK or wrapping through a cast to a narrower type.
+StatusOr<int64_t> IntFlag(const Flags& flags, const std::string& name,
+                          int64_t def, int64_t lo, int64_t hi) {
   if (!flags.Has(name)) return def;
   const std::string value = flags.GetString(name, "");
-  int64_t count = 0;
+  int64_t number = 0;
   const auto [end, error] =
-      std::from_chars(value.data(), value.data() + value.size(), count);
+      std::from_chars(value.data(), value.data() + value.size(), number);
   if (error != std::errc() || end != value.data() + value.size() ||
-      count < 1 || count > INT_MAX) {
-    return Status::InvalidArgument("--" + name + " must be an integer in [1, " +
-                                   std::to_string(INT_MAX) + "]: " + value);
+      number < lo || number > hi) {
+    return Status::InvalidArgument("--" + name + " must be an integer in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]: " + value);
   }
-  return static_cast<int>(count);
+  return number;
+}
+
+// --name as a sample count in [1, INT_MAX].
+StatusOr<int> SamplesFlag(const Flags& flags, const std::string& name,
+                          int def) {
+  const auto count = IntFlag(flags, name, def, 1, INT_MAX);
+  if (!count.ok()) return count.status();
+  return static_cast<int>(*count);
 }
 
 // `value` of --what as a node id (ParseNodeId), so no value wraps onto
@@ -479,30 +488,34 @@ int CmdServe(const Flags& flags) {
   if (!samples.ok()) return Fail(samples.status().ToString());
   options.engine.num_samples = *samples;
   options.engine.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.engine.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.engine.use_index = flags.GetBool("index", false);
   options.engine.index_file = flags.GetString("index-file", "");
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   options.engine.estimator = *estimator;
-  options.window_us = static_cast<int>(flags.GetInt("window-us", 2000));
-  if (options.window_us < 0) return Fail("--window-us must be >= 0");
-  const int64_t max_batch = flags.GetInt("max-batch", 256);
-  if (max_batch < 1) return Fail("--max-batch must be >= 1");
-  options.max_batch = static_cast<size_t>(max_batch);
-  const int64_t max_queue = flags.GetInt("max-queue", 1024);
-  if (max_queue < 0) return Fail("--max-queue must be >= 0");
-  options.max_queue = static_cast<size_t>(max_queue);
-  options.lanes = static_cast<int>(flags.GetInt("lanes", 1));
-  if (options.lanes < 1) return Fail("--lanes must be >= 1");
+  // Every lane and every worker is one OS thread.
+  constexpr int64_t kMaxThreads = 256;
+  const auto threads = IntFlag(flags, "threads", 1, 0, kMaxThreads);
+  const auto window_us = IntFlag(flags, "window-us", 2000, 0, INT_MAX);
+  const auto max_batch = IntFlag(flags, "max-batch", 256, 1, INT_MAX);
+  const auto max_queue = IntFlag(flags, "max-queue", 1024, 0, INT_MAX);
+  const auto lanes = IntFlag(flags, "lanes", 1, 1, kMaxThreads);
+  const auto port = IntFlag(flags, "port", 0, 0, 65535);
+  for (const auto* flag :
+       {&threads, &window_us, &max_batch, &max_queue, &lanes, &port}) {
+    if (!flag->ok()) return Fail(flag->status().ToString());
+  }
+  options.engine.num_threads = static_cast<int>(*threads);
+  options.window_us = static_cast<int>(*window_us);
+  options.max_batch = static_cast<size_t>(*max_batch);
+  options.max_queue = static_cast<size_t>(*max_queue);
+  options.lanes = static_cast<int>(*lanes);
 
   serve::Server server(std::move(*graph), options);
   if (flags.Has("port")) {
-    const int64_t port = flags.GetInt("port", 0);
-    if (port < 0 || port > 65535) return Fail("--port must be in [0, 65535]");
     const Status status = server.ServePort(
-        static_cast<uint16_t>(port), [](uint16_t bound) {
+        static_cast<uint16_t>(*port), [](uint16_t bound) {
           std::printf("serving on port %u\n", bound);
           std::fflush(stdout);
         });

@@ -141,9 +141,11 @@ echo "OK: '$BEFORE' -> '$AFTER' across the epoch publish"
 
 echo "== flood path at --lanes 4: world-range shards =="
 # No --index: every window is answered by floods that fan out over (source x
-# world range) shards on max(--threads, --lanes) = 4 workers. Bursts from one
-# source split each flood into ranges; bursts from many sources flood whole
-# rows. Either way the rows must equal `relmax batch` at one thread. Z = 2000
+# world range) shards on max(--threads, --lanes) = 4 workers, and a due
+# window is split by source over the idle lanes. The 16-source bursts'
+# sources spread over the 4 lanes and flood whole rows; a one-source burst's
+# queries stay on one lane, which splits that flood into ranges. Either way
+# the rows must equal `relmax batch` at one thread. Z = 2000
 # is four 512-world lane blocks, and as_topology 0.1's floods are long
 # enough for FloodRanges to split them in two, so the split is real.
 "$CLI" gen --dataset as_topology --scale 0.1 --seed 42 \
