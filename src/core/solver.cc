@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "common/memory.h"
 #include "common/timer.h"
@@ -14,40 +13,83 @@
 namespace relmax {
 namespace {
 
-// Top-l most reliable s-t paths in g_plus, optionally computed on the
-// subgraph induced by the eliminated node set (C(s) ∪ C(t) ∪ {s, t}) and
-// mapped back to g_plus ids.
-std::vector<PathResult> FindTopPaths(const UncertainGraph& g_plus, NodeId s,
-                                     NodeId t, const CandidateSet& candidates,
-                                     const SolverOptions& options) {
-  if (!options.paths_on_eliminated_subgraph) {
-    return TopLReliablePaths(g_plus, s, t, options.top_l);
-  }
-  // Dense node list: s, t first, then the eliminated sets.
+// The graph the top-l paths are searched on, with s, t and the candidate
+// edges in its node ids (`candidates` keeps CandidateSet::edges' order, so a
+// candidate index means the same edge in both).
+struct PathSearchGraph {
+  UncertainGraph graph;
+  NodeId s;
+  NodeId t;
+  std::vector<Edge> candidates;
+};
+
+// The subgraph of g ∪ E+ induced by s, t, C(s), C(t) and every candidate
+// endpoint (caller-supplied candidate sets may omit the node lists), built
+// from g's CSR and the candidate list without materializing g ∪ E+. Node i is
+// the i-th of those nodes in that order, and every node lists its base arcs
+// before its candidate arcs, which is the graph
+// AugmentGraph(g, E+).InducedSubgraph(nodes) gives, edge ids included.
+PathSearchGraph EliminatedSubgraph(const UncertainGraph& g, NodeId s, NodeId t,
+                                   const CandidateSet& candidates) {
+  std::vector<NodeId> local(g.num_nodes(), kInvalidNode);
   std::vector<NodeId> nodes;
-  std::unordered_set<NodeId> seen;
-  auto push = [&](NodeId v) {
-    if (seen.insert(v).second) nodes.push_back(v);
+  const auto push = [&](NodeId v) {
+    if (local[v] != kInvalidNode) return;
+    local[v] = static_cast<NodeId>(nodes.size());
+    nodes.push_back(v);
   };
   push(s);
   push(t);
   for (NodeId v : candidates.from_source) push(v);
   for (NodeId v : candidates.to_target) push(v);
-  // Caller-supplied candidate sets may omit the node lists; make sure every
-  // candidate edge stays usable.
   for (const Edge& e : candidates.edges) {
     push(e.src);
     push(e.dst);
   }
 
-  auto sub = g_plus.InducedSubgraph(nodes);
-  RELMAX_CHECK(sub.ok());
-  std::vector<PathResult> mapped =
-      TopLReliablePaths(*sub, /*s=*/0, /*t=*/1, options.top_l);
-  for (PathResult& path : mapped) {
-    for (NodeId& v : path.nodes) v = nodes[v];
+  const NodeId m = static_cast<NodeId>(nodes.size());
+  PathSearchGraph out{g.directed() ? UncertainGraph::Directed(m)
+                                   : UncertainGraph::Undirected(m),
+                      0, 1, {}};
+  // Each candidate arc is added on the turn of its tail, or for an undirected
+  // edge of its earlier endpoint; bucket them by that node, keeping list
+  // order.
+  out.candidates.reserve(candidates.edges.size());
+  std::vector<size_t> first(m + 1, 0);
+  const auto owner = [&](const Edge& e) {
+    return g.directed() ? e.src : std::min(e.src, e.dst);
+  };
+  for (const Edge& e : candidates.edges) {
+    out.candidates.push_back({local[e.src], local[e.dst], e.prob});
+    ++first[owner(out.candidates.back()) + 1];
   }
-  return mapped;
+  for (NodeId i = 0; i < m; ++i) first[i + 1] += first[i];
+  std::vector<const Edge*> bucket(out.candidates.size());
+  std::vector<size_t> cursor(first.begin(), first.end() - 1);
+  for (const Edge& e : out.candidates) bucket[cursor[owner(e)]++] = &e;
+
+  // AddEdge turns down what AugmentGraph would have skipped: a candidate
+  // that repeats a base edge or an earlier candidate.
+  const auto add = [&](NodeId u, NodeId v, double p) {
+    const Status st = out.graph.AddEdge(u, v, p);
+    RELMAX_DCHECK(st.ok() || st.code() == StatusCode::kAlreadyExists);
+    (void)st;
+  };
+  const CsrView csr = g.OutCsr();
+  for (NodeId i = 0; i < m; ++i) {
+    for (size_t a = csr.begin(nodes[i]); a < csr.end(nodes[i]); ++a) {
+      const NodeId j = local[csr.heads[a]];
+      // An undirected edge is added from its earlier endpoint only.
+      if (j == kInvalidNode || (!g.directed() && j < i)) continue;
+      add(i, j, csr.probs[a]);
+    }
+    for (size_t b = first[i]; b < first[i + 1]; ++b) {
+      const Edge& e = *bucket[b];
+      const NodeId j = e.src == i ? e.dst : e.src;
+      add(i, j, e.prob);
+    }
+  }
+  return out;
 }
 
 size_t CountDistinctCandidates(const std::vector<AnnotatedPath>& paths) {
@@ -120,19 +162,25 @@ StatusOr<Solution> MaximizeReliabilityWithCandidates(
     RELMAX_RETURN_IF_ERROR(improvement.status());
     solution.added_edges = improvement->added_edges;
   } else {
-    const UncertainGraph g_plus = AugmentGraph(g, candidates.edges);
+    const PathSearchGraph space =
+        options.paths_on_eliminated_subgraph
+            ? EliminatedSubgraph(g, s, t, candidates)
+            : PathSearchGraph{AugmentGraph(g, candidates.edges), s, t,
+                              candidates.edges};
     const std::vector<PathResult> paths =
-        FindTopPaths(g_plus, s, t, candidates, options);
+        TopLReliablePaths(space.graph, space.s, space.t, options.top_l);
     const std::vector<AnnotatedPath> annotated =
-        AnnotatePaths(g_plus, paths, candidates.edges);
+        AnnotatePaths(space.graph, paths, space.candidates);
     solution.stats.paths_considered = annotated.size();
     solution.stats.candidate_edges_after_path_filter =
         CountDistinctCandidates(annotated);
 
     const std::vector<int> indices =
         method == CoreMethod::kBatchEdges
-            ? SelectEdgesByPathBatches(g_plus, s, t, annotated, options)
-            : SelectEdgesByIndividualPaths(g_plus, s, t, annotated, options);
+            ? SelectEdgesByPathBatches(space.graph, space.s, space.t,
+                                       annotated, options)
+            : SelectEdgesByIndividualPaths(space.graph, space.s, space.t,
+                                           annotated, options);
     solution.added_edges.reserve(indices.size());
     for (int i : indices) solution.added_edges.push_back(candidates.edges[i]);
   }
@@ -142,8 +190,9 @@ StatusOr<Solution> MaximizeReliabilityWithCandidates(
   solution.reliability_after =
       solution.added_edges.empty()
           ? solution.reliability_before
-          : EstimateWithOptions(AugmentGraph(g, solution.added_edges), s, t,
-                                options, 0xafe);
+          : EstimateWithOptions(
+                UncertainGraph::UnindexedAugmented(g, solution.added_edges),
+                s, t, options, 0xafe);
   solution.stats.peak_rss_bytes = PeakRssBytes();
   return solution;
 }

@@ -102,6 +102,7 @@ Status UncertainGraph::AddEdge(NodeId u, NodeId v, double p) {
 }
 
 Status UncertainGraph::UpdateEdgeProb(NodeId u, NodeId v, double p) {
+  RELMAX_DCHECK(indexed());
   if (!(p >= 0.0 && p <= 1.0)) {  // also rejects NaN
     return Status::InvalidArgument("edge probability must be in [0, 1]");
   }
@@ -142,12 +143,14 @@ Status UncertainGraph::UpdateEdgeProb(NodeId u, NodeId v, double p) {
 }
 
 std::optional<double> UncertainGraph::EdgeProb(NodeId u, NodeId v) const {
+  RELMAX_DCHECK(indexed());
   auto it = edge_index_.find(EdgeKey(u, v));
   if (it == edge_index_.end()) return std::nullopt;
   return edge_probs_[it->second];
 }
 
 std::optional<EdgeId> UncertainGraph::EdgeIndexOf(NodeId u, NodeId v) const {
+  RELMAX_DCHECK(indexed());
   auto it = edge_index_.find(EdgeKey(u, v));
   if (it == edge_index_.end()) return std::nullopt;
   return it->second;
@@ -269,6 +272,39 @@ StatusOr<UncertainGraph> UncertainGraph::InducedSubgraph(
     }
   }
   return sub;
+}
+
+UncertainGraph UncertainGraph::UnindexedAugmented(
+    const UncertainGraph& base, const std::vector<Edge>& extra) {
+  UncertainGraph g(base.num_nodes_, base.directed_);
+  g.version_ = base.version_;
+  g.edges_.reserve(base.edges_.size() + extra.size());
+  g.edges_ = base.edges_;
+  g.edge_probs_.reserve(base.edges_.size() + extra.size());
+  g.edge_probs_ = base.edge_probs_;
+  std::vector<uint64_t> appended;  // keys of the extra edges kept so far
+  for (const Edge& e : extra) {
+    // AddEdge's checks, in its order; the edge index is base's plus
+    // `appended`.
+    if (e.src >= base.num_nodes_ || e.dst >= base.num_nodes_ ||
+        e.src == e.dst || !(e.prob >= 0.0 && e.prob <= 1.0)) {
+      RELMAX_DCHECK(false);
+      continue;
+    }
+    const uint64_t key = base.EdgeKey(e.src, e.dst);
+    if (base.edge_index_.count(key) > 0 ||
+        std::find(appended.begin(), appended.end(), key) != appended.end()) {
+      continue;
+    }
+    appended.push_back(key);
+    NodeId cu = e.src;
+    NodeId cv = e.dst;
+    if (!base.directed_ && cu > cv) std::swap(cu, cv);
+    g.edges_.push_back({cu, cv, e.prob});
+    g.edge_probs_.push_back(e.prob);
+    ++g.version_;
+  }
+  return g;  // the CSR is stale: the first traversal builds it
 }
 
 }  // namespace relmax

@@ -188,6 +188,7 @@ class UncertainGraph {
   /// True if edge (u, v) exists. For undirected graphs the orientation is
   /// ignored.
   bool HasEdge(NodeId u, NodeId v) const {
+    RELMAX_DCHECK(indexed());
     return edge_index_.count(EdgeKey(u, v)) > 0;
   }
 
@@ -255,6 +256,16 @@ class UncertainGraph {
   StatusOr<UncertainGraph> InducedSubgraph(
       const std::vector<NodeId>& nodes) const;
 
+  /// `base` with `extra` appended the way AddEdge appends them, skipping an
+  /// edge that `base` or an earlier extra edge already has: edge ids,
+  /// probabilities and CSR equal those of a copy of `base` that AddEdge'd
+  /// `extra`. It is built without the edge index, so making it costs no O(E)
+  /// hash-map copy. It is for read-only traversal (the samplers read only
+  /// the CSR and the edge arrays): HasEdge, EdgeProb, EdgeIndexOf,
+  /// UpdateEdgeProb and AddEdge must not be called on it or on its copies.
+  static UncertainGraph UnindexedAugmented(const UncertainGraph& base,
+                                           const std::vector<Edge>& extra);
+
  private:
   UncertainGraph(NodeId n, bool directed)
       : directed_(directed), num_nodes_(n) {}
@@ -264,6 +275,9 @@ class UncertainGraph {
     if (!directed_ && u > v) std::swap(u, v);
     return (static_cast<uint64_t>(u) << 32) | v;
   }
+
+  // False only for UnindexedAugmented graphs, which have no edge index.
+  bool indexed() const { return edge_index_.size() == edges_.size(); }
 
   // Double-checked lazy rebuild; cheap acquire load once the CSR is fresh.
   void EnsureCsr() const {
