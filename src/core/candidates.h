@@ -24,7 +24,11 @@ struct CandidateSet {
 /// (Algorithm 4): keeps the top-r nodes by reliability from s and to t, then
 /// emits every missing (u, v) ∈ C(s) × C(t) pair whose endpoints are within
 /// `options.hop_h` hops (ignoring direction) as a candidate edge with
-/// probability ζ. This shrinks the candidate space from O(n²) to O(r²).
+/// probability ζ, in C(s)-major order. This shrinks the candidate space from
+/// O(n²) to O(r²). The hop test is one bitset pass from C(t) (bit j of a
+/// node's mask: the j-th C(t) node is near), which stops at the first round
+/// that reaches no new node, so its cost is bounded by the graph's diameter
+/// whatever hop_h is.
 StatusOr<CandidateSet> SelectCandidates(const UncertainGraph& g, NodeId s,
                                         NodeId t,
                                         const SolverOptions& options);
@@ -38,7 +42,8 @@ StatusOr<CandidateSet> SelectCandidatesMulti(const UncertainGraph& g,
 
 /// All missing edges of the graph (each with probability ζ), optionally
 /// restricted to the h-hop constraint — the baselines' candidate space when
-/// elimination is disabled. Quadratic; intended for small/medium graphs.
+/// elimination is disabled. Quadratic (one hop BFS per node); intended for
+/// small/medium graphs.
 std::vector<Edge> AllMissingEdges(const UncertainGraph& g, double zeta,
                                   int hop_h);
 

@@ -28,7 +28,9 @@ std::vector<double> ToTargetWithOptions(const UncertainGraph& g, NodeId t,
                                         const SolverOptions& options,
                                         uint64_t seed_salt = 0);
 
-/// Copy of `g` with `edges` added (existing duplicates are skipped).
+/// Copy of `g` with `edges` added (existing duplicates are skipped). The
+/// solver's after-estimate, which only samples, uses the cheaper
+/// UncertainGraph::UnindexedAugmented instead.
 UncertainGraph AugmentGraph(const UncertainGraph& g,
                             const std::vector<Edge>& edges);
 
@@ -37,7 +39,9 @@ UncertainGraph AugmentGraph(const UncertainGraph& g,
 /// marginal reliability gains. Nodes are remapped densely.
 class PathUnionSubgraph {
  public:
-  /// `base` supplies edge probabilities; paths refer to base node ids.
+  /// `base` supplies edge probabilities (EdgeProb on path edges only);
+  /// paths refer to base node ids. The solver passes its eliminated
+  /// subgraph, so no full augmented graph is needed.
   PathUnionSubgraph(const UncertainGraph& base, NodeId s, NodeId t);
 
   /// Adds every edge of `path` (edges already present are shared, not

@@ -30,7 +30,10 @@ struct SolverOptions {
   int top_l = 30;
   /// h: a candidate edge (u, v) is allowed only when u and v are within h
   /// hops in the input graph (ignoring direction); negative disables the
-  /// constraint (the paper's "generalized case").
+  /// constraint (the paper's "generalized case"). Any h is cheap: the hop
+  /// pass stops at the first round that reaches no new node, so INT_MAX
+  /// costs what the graph's diameter does. The CLI's --h takes
+  /// [-1, INT_MAX], -1 for no constraint.
   int hop_h = 3;
   /// Z for the search-space-elimination estimates (from-s / to-t
   /// reliabilities).

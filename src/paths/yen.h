@@ -17,6 +17,11 @@ namespace relmax {
 /// multiplicative probabilities, and the selection stage (§5.2) consumes
 /// simple paths. Returns fewer than l paths when the graph does not contain
 /// that many.
+///
+/// Every arc a spur search must avoid starts at the spur node, so the bans
+/// are a short list of heads checked only there, and one Dijkstra scratch
+/// (`best`, `parent`, heap) serves every spur, reset only where a search
+/// touched it. Candidates are deduplicated on their exact node sequences.
 std::vector<PathResult> TopLReliablePaths(const UncertainGraph& g, NodeId s,
                                           NodeId t, int l);
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <climits>
 #include <set>
+#include <unordered_set>
 
+#include "common/rng.h"
 #include "core/candidates.h"
+#include "graph/bfs.h"
 #include "graph/uncertain_graph.h"
 
 namespace relmax {
@@ -164,6 +169,79 @@ TEST(CandidatesTest, AllMissingEdgesCountsAndConstraints) {
   // Hop constraint: with h = 1 nothing qualifies (all non-adjacent pairs are
   // at distance > 1 by definition, adjacent pairs already have edges).
   EXPECT_TRUE(AllMissingEdges(u, 0.5, 1).empty());
+}
+
+// The candidate pass as one BFS per C(s) node computed it: the reference the
+// h-hop bitset pass must match edge for edge, order included.
+std::vector<Edge> PerNodeBfsCandidates(const UncertainGraph& g,
+                                       const CandidateSet& set, double zeta,
+                                       int hop_h) {
+  std::unordered_set<uint64_t> emitted;
+  std::vector<Edge> edges;
+  for (NodeId u : set.from_source) {
+    std::vector<int> dist;
+    if (hop_h >= 0) dist = UndirectedHopDistances(g, u, hop_h);
+    for (NodeId v : set.to_target) {
+      if (u == v || g.HasEdge(u, v)) continue;
+      if (hop_h >= 0 && (dist[v] == kUnreachable || dist[v] > hop_h)) continue;
+      const NodeId lo = g.directed() ? u : std::min(u, v);
+      const NodeId hi = g.directed() ? v : std::max(u, v);
+      if (emitted.insert((static_cast<uint64_t>(lo) << 32) | hi).second) {
+        edges.push_back({u, v, zeta});
+      }
+    }
+  }
+  return edges;
+}
+
+UncertainGraph RandomSparseGraph(uint64_t seed, bool directed) {
+  Rng rng(seed);
+  const NodeId n = 160;
+  UncertainGraph g =
+      directed ? UncertainGraph::Directed(n) : UncertainGraph::Undirected(n);
+  // A long ring keeps the diameter large; random chords shorten some paths.
+  for (NodeId u = 0; u < n; ++u) {
+    EXPECT_TRUE(g.AddEdge(u, (u + 1) % n, rng.NextDouble(0.85, 0.99)).ok());
+  }
+  for (int i = 0; i < 60; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextUint64(n));
+    const NodeId v = static_cast<NodeId>(rng.NextUint64(n));
+    if (u != v && !g.HasEdge(u, v)) {
+      EXPECT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.3, 0.9)).ok());
+    }
+  }
+  return g;
+}
+
+TEST(CandidatesTest, HopPassMatchesPerNodeBfs) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (bool directed : {true, false}) {
+      const UncertainGraph g = RandomSparseGraph(seed, directed);
+      for (int hop_h : {-1, 0, 1, 2, 3, INT_MAX}) {
+        SolverOptions options = FastOptions();
+        options.top_r = 100;  // |C(t)| > 64: the masks span two words
+        options.hop_h = hop_h;
+        const auto start = std::chrono::steady_clock::now();
+        const auto single = SelectCandidates(g, 0, 80, options);
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        ASSERT_TRUE(single.ok());
+        EXPECT_GT(single->to_target.size(), 64u);
+        EXPECT_LT(seconds, 5.0) << "hop_h " << hop_h;
+        EXPECT_EQ(single->edges,
+                  PerNodeBfsCandidates(g, *single, options.zeta, hop_h))
+            << "seed " << seed << " directed " << directed << " h " << hop_h;
+
+        const auto multi = SelectCandidatesMulti(g, {0, 40}, {80, 120}, options);
+        ASSERT_TRUE(multi.ok());
+        EXPECT_EQ(multi->edges,
+                  PerNodeBfsCandidates(g, *multi, options.zeta, hop_h))
+            << "multi seed " << seed << " directed " << directed << " h "
+            << hop_h;
+      }
+    }
+  }
 }
 
 }  // namespace

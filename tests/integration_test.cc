@@ -449,6 +449,22 @@ TEST(IntegrationTest, BadIntegerFlagsExitOneWithTypedError) {
       {"solve" + graph + " --s 2 --t 3 --samples 0", samples},
       {"solve" + graph + " --s 2 --t 3 --elim-samples 0",
        "InvalidArgument: --elim-samples must be an integer"},
+      {"solve" + graph + " --s 2 --t 3 --k 4294967297",
+       "InvalidArgument: --k must be an integer in [1, 2147483647]: "
+       "4294967297"},
+      {"solve" + graph + " --s 2 --t 3 --k 0", "InvalidArgument: --k must be"},
+      {"solve" + graph + " --s 2 --t 3 --r -3", "InvalidArgument: --r must be"},
+      {"solve" + graph + " --s 2 --t 3 --l 2x", "InvalidArgument: --l must be"},
+      {"solve" + graph + " --s 2 --t 3 --h 4294967299",
+       "InvalidArgument: --h must be an integer in [-1, 2147483647]: "
+       "4294967299"},
+      {"solve" + graph + " --s 2 --t 3 --h -2", "InvalidArgument: --h must be"},
+      {"solve" + graph + " --s 2 --t 3 --threads 257",
+       "InvalidArgument: --threads must be an integer in [0, 256]: 257"},
+      {"multi" + graph + " --sources 2 --targets 3 --threads abc",
+       "InvalidArgument: --threads must be"},
+      {"budget" + graph + " --s 2 --t 3 --k 4294967297",
+       "InvalidArgument: --k must be"},
       {"batch" + graph + queries + " --samples 0", samples},
       {"batch" + graph + queries + " --samples 4294967297", samples},
       {"serve" + graph + " --samples 0", samples},

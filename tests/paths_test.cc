@@ -144,16 +144,23 @@ TEST(YenTest, SourceEqualsTarget) {
 // Yen against the DFS oracle over random graphs, directed and undirected.
 class YenOracleSweep : public testing::TestWithParam<int> {};
 
+// Parameters from 12 on draw every probability from {0.25, 0.5, 1}, so many
+// paths tie; their undirected graphs (odd parameters) let a spur path walk a
+// banned arc in reverse, back into the spur.
 TEST_P(YenOracleSweep, MatchesExhaustiveEnumeration) {
   Rng rng(9000 + GetParam());
+  const bool ties = GetParam() >= 12;
   const NodeId n = static_cast<NodeId>(rng.NextInt(4, 8));
   UncertainGraph g = GetParam() % 2 == 0 ? UncertainGraph::Directed(n)
                                          : UncertainGraph::Undirected(n);
+  const double tie_probs[] = {0.25, 0.5, 1.0};
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       if (u == v || g.HasEdge(u, v)) continue;
-      if (rng.NextBernoulli(0.5)) {
-        ASSERT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.05, 0.95)).ok());
+      if (rng.NextBernoulli(ties ? 0.7 : 0.5)) {
+        const double p = ties ? tie_probs[rng.NextUint64(3)]
+                              : rng.NextDouble(0.05, 0.95);
+        ASSERT_TRUE(g.AddEdge(u, v, p).ok());
       }
     }
   }
@@ -188,7 +195,7 @@ TEST_P(YenOracleSweep, MatchesExhaustiveEnumeration) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, YenOracleSweep, testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, YenOracleSweep, testing::Range(0, 24));
 
 }  // namespace
 }  // namespace relmax

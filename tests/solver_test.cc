@@ -5,6 +5,8 @@
 
 #include "common/rng.h"
 #include "core/solver.h"
+#include "gen/datasets.h"
+#include "gen/queries.h"
 #include "graph/exact_reliability.h"
 #include "graph/uncertain_graph.h"
 
@@ -220,6 +222,50 @@ TEST_P(SolverBudgetSweep, GainGrowsWithBudget) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Budgets, SolverBudgetSweep, testing::Values(1, 2, 4));
+
+// The solve workload's pipeline at a small scale, pinned to the values the
+// unoptimized path search and candidate pass produced: a hash of every
+// picked edge plus the summed before/after reliabilities of 16 queries.
+TEST(SolverTest, LastfmPicksArePinnedAcrossSeeds) {
+  const auto dataset = MakeDataset("lastfm", 0.1);
+  ASSERT_TRUE(dataset.ok());
+  struct Pin {
+    uint64_t seed;
+    uint64_t edge_hash;
+    double before;
+    double after;
+  };
+  const Pin pins[] = {
+      {3, 0x8bd8e90157de34f8ull, 0.016, 12.897999999999998},
+      {7, 0x4497f36b0120ce97ull, 0.02, 13.171999999999999},
+      {11, 0x33531f040503708aull, 0.0080000000000000002, 13.243999999999998},
+  };
+  for (const Pin& pin : pins) {
+    QueryGenOptions query_options;
+    query_options.seed = pin.seed;
+    const auto queries = GenerateQueries(dataset->graph, 16, query_options);
+    ASSERT_TRUE(queries.ok());
+    SolverOptions options;
+    options.seed = pin.seed;
+    uint64_t hash = 1469598103934665603ull;  // FNV-1a over the edge ids
+    double before = 0.0;
+    double after = 0.0;
+    for (const auto& [s, t] : *queries) {
+      const auto solution = MaximizeReliability(dataset->graph, s, t, options);
+      ASSERT_TRUE(solution.ok());
+      for (const Edge& e : solution->added_edges) {
+        hash = (hash ^ e.src) * 1099511628211ull;
+        hash = (hash ^ e.dst) * 1099511628211ull;
+      }
+      hash = (hash ^ 0xffffffffull) * 1099511628211ull;
+      before += solution->reliability_before;
+      after += solution->reliability_after;
+    }
+    EXPECT_EQ(hash, pin.edge_hash) << "seed " << pin.seed;
+    EXPECT_EQ(before, pin.before) << "seed " << pin.seed;
+    EXPECT_EQ(after, pin.after) << "seed " << pin.seed;
+  }
+}
 
 }  // namespace
 }  // namespace relmax

@@ -149,11 +149,18 @@ StatusOr<Estimator> ParseEstimator(const Flags& flags) {
 
 StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   SolverOptions options;
-  options.budget_k = static_cast<int>(flags.GetInt("k", 10));
+  // Each integer knob is range-checked, so no value wraps through the cast.
+  const auto set_int = [&](int* field, const char* name, int def, int lo,
+                           int hi) {
+    const auto value = IntFlag(flags, name, def, lo, hi);
+    if (value.ok()) *field = static_cast<int>(*value);
+    return value.status();
+  };
+  RELMAX_RETURN_IF_ERROR(set_int(&options.budget_k, "k", 10, 1, INT_MAX));
   options.zeta = flags.GetDouble("zeta", 0.5);
-  options.top_r = static_cast<int>(flags.GetInt("r", 100));
-  options.top_l = static_cast<int>(flags.GetInt("l", 30));
-  options.hop_h = static_cast<int>(flags.GetInt("h", 3));
+  RELMAX_RETURN_IF_ERROR(set_int(&options.top_r, "r", 100, 1, INT_MAX));
+  RELMAX_RETURN_IF_ERROR(set_int(&options.top_l, "l", 30, 1, INT_MAX));
+  RELMAX_RETURN_IF_ERROR(set_int(&options.hop_h, "h", 3, -1, INT_MAX));
   const auto samples = SamplesFlag(flags, "samples", 500);
   RELMAX_RETURN_IF_ERROR(samples.status());
   options.num_samples = *samples;
@@ -161,7 +168,8 @@ StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   RELMAX_RETURN_IF_ERROR(elim_samples.status());
   options.elimination_samples = *elim_samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  RELMAX_RETURN_IF_ERROR(
+      set_int(&options.num_threads, "threads", 1, 0, 256));
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
   auto estimator = ParseEstimator(flags);
   RELMAX_RETURN_IF_ERROR(estimator.status());
