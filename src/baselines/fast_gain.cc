@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/rng.h"
 #include "core/evaluate.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 namespace {
@@ -26,76 +26,42 @@ Status ValidateArgs(const UncertainGraph& g, NodeId s, NodeId t,
 
 WorldEnsemble::WorldEnsemble(const UncertainGraph& g, NodeId s, NodeId t,
                              int num_samples, uint64_t seed)
-    : num_nodes_(g.num_nodes()),
-      num_samples_(num_samples),
-      from_s_(static_cast<size_t>(num_samples) * num_nodes_, 0),
-      to_t_(static_cast<size_t>(num_samples) * num_nodes_, 0),
-      st_connected_(num_samples, 0) {
-  Rng rng(seed);
-  std::vector<char> present(g.num_edges());
-  std::vector<NodeId> queue;
-  queue.reserve(num_nodes_);
+    : num_samples_(num_samples), t_(t) {
+  const WorldBank bank(g, {.num_samples = num_samples, .seed = seed});
+  bank.ReachabilityFixpoint(s, /*backward=*/false, bank.AllEdges(), &from_s_);
+  bank.ReachabilityFixpoint(t, /*backward=*/true, bank.AllEdges(), &to_t_);
+}
 
-  for (int w = 0; w < num_samples; ++w) {
-    for (size_t e = 0; e < g.num_edges(); ++e) {
-      present[e] = rng.NextBernoulli(g.EdgeById(static_cast<EdgeId>(e)).prob)
-                       ? 1
-                       : 0;
-    }
-    char* from = &from_s_[static_cast<size_t>(w) * num_nodes_];
-    char* to = &to_t_[static_cast<size_t>(w) * num_nodes_];
-
-    queue.clear();
-    from[s] = 1;
-    queue.push_back(s);
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (const Arc& arc : g.OutArcs(queue[head])) {
-        if (!present[arc.edge_id] || from[arc.to]) continue;
-        from[arc.to] = 1;
-        queue.push_back(arc.to);
-      }
-    }
-    queue.clear();
-    to[t] = 1;
-    queue.push_back(t);
-    for (size_t head = 0; head < queue.size(); ++head) {
-      for (const Arc& arc : g.InArcs(queue[head])) {
-        if (!present[arc.edge_id] || to[arc.to]) continue;
-        to[arc.to] = 1;
-        queue.push_back(arc.to);
-      }
-    }
-    st_connected_[w] = from[t];
+double WorldEnsemble::CompletedFraction(NodeId u, NodeId v,
+                                        bool both_ways) const {
+  const uint64_t* const from_u = from_s_.row(u);
+  const uint64_t* const from_v = from_s_.row(v);
+  const uint64_t* const to_u = to_t_.row(u);
+  const uint64_t* const to_v = to_t_.row(v);
+  const uint64_t* const connected = from_s_.row(t_);
+  // Reach rows keep the bits past the last world clear, so no tail mask.
+  int64_t count = 0;
+  for (size_t w = 0; w < from_s_.words(); ++w) {
+    uint64_t completes = from_u[w] & to_v[w];
+    if (both_ways) completes |= from_v[w] & to_u[w];
+    count += __builtin_popcountll(completes & ~connected[w]);
   }
+  return static_cast<double>(count) / num_samples_;
 }
 
 double WorldEnsemble::DeltaGain(NodeId u, NodeId v, double zeta) const {
-  int count = 0;
-  for (int w = 0; w < num_samples_; ++w) {
-    if (st_connected_[w]) continue;
-    const size_t base = static_cast<size_t>(w) * num_nodes_;
-    count += from_s_[base + u] && to_t_[base + v];
-  }
-  return zeta * static_cast<double>(count) / num_samples_;
+  return zeta * CompletedFraction(u, v, /*both_ways=*/false);
 }
 
 double WorldEnsemble::DeltaGainUndirected(NodeId u, NodeId v,
                                           double zeta) const {
-  int count = 0;
-  for (int w = 0; w < num_samples_; ++w) {
-    if (st_connected_[w]) continue;
-    const size_t base = static_cast<size_t>(w) * num_nodes_;
-    const bool forward = from_s_[base + u] && to_t_[base + v];
-    const bool backward = from_s_[base + v] && to_t_[base + u];
-    count += forward || backward;
-  }
-  return zeta * static_cast<double>(count) / num_samples_;
+  return zeta * CompletedFraction(u, v, /*both_ways=*/true);
 }
 
 double WorldEnsemble::BaseReliability() const {
-  int count = 0;
-  for (char c : st_connected_) count += c;
-  return static_cast<double>(count) / num_samples_;
+  return static_cast<double>(WorldBank::CountBits(
+             from_s_.row_span(t_), static_cast<size_t>(num_samples_))) /
+         num_samples_;
 }
 
 StatusOr<std::vector<Edge>> SelectIndividualTopKFast(

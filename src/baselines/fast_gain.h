@@ -6,6 +6,7 @@
 #include "common/status.h"
 #include "core/types.h"
 #include "graph/uncertain_graph.h"
+#include "sampling/bitlane.h"
 
 namespace relmax {
 
@@ -24,8 +25,8 @@ namespace relmax {
 /// headroom.
 class WorldEnsemble {
  public:
-  /// Samples `num_samples` worlds of g and records per-world reachability
-  /// from s and to t.
+  /// Samples `num_samples` worlds of g into a WorldBank seeded with `seed`
+  /// and records per-world reachability from s and to t.
   WorldEnsemble(const UncertainGraph& g, NodeId s, NodeId t, int num_samples,
                 uint64_t seed);
 
@@ -43,12 +44,18 @@ class WorldEnsemble {
   int num_samples() const { return num_samples_; }
 
  private:
-  const NodeId num_nodes_;
+  // Fraction of worlds where s misses t but reaches u and v reaches t: the
+  // worlds arc (u, v) would connect. With `both_ways`, (v, u)'s too.
+  double CompletedFraction(NodeId u, NodeId v, bool both_ways) const;
+
   const int num_samples_;
-  // Bit-packed per-world membership, world-major.
-  std::vector<char> from_s_;  // [w * n + v]: v reachable from s in world w
-  std::vector<char> to_t_;    // [w * n + v]: t reachable from v in world w
-  std::vector<char> st_connected_;
+  // Node-major world bitsets (one bit per world, 64 worlds per word), as
+  // the bank's two reachability fixpoints leave them: from_s_ row v holds
+  // the worlds where s reaches v, so row t is the s-t indicator; to_t_ row
+  // v holds the worlds where v reaches t.
+  bitlane::BitMatrix from_s_;
+  bitlane::BitMatrix to_t_;
+  NodeId t_;
 };
 
 /// Individual Top-k re-implemented on one world ensemble: identical ranking

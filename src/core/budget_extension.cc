@@ -27,14 +27,16 @@ StatusOr<BudgetedSolution> MaximizeReliabilityWithProbabilityBudget(
   if (s >= g.num_nodes() || t >= g.num_nodes()) {
     return Status::OutOfRange("query node out of range");
   }
-  if (budget_options.total_budget <= 0.0) {
+  // The checks are negated so NaN, which fails every comparison, is
+  // rejected too.
+  if (!(budget_options.total_budget > 0.0)) {
     return Status::InvalidArgument("total_budget must be positive");
   }
   if (budget_options.max_edges <= 0 || budget_options.units <= 0) {
     return Status::InvalidArgument("max_edges and units must be positive");
   }
-  if (budget_options.max_edge_prob <= 0.0 ||
-      budget_options.max_edge_prob > 1.0) {
+  if (!(budget_options.max_edge_prob > 0.0 &&
+        budget_options.max_edge_prob <= 1.0)) {
     return Status::InvalidArgument("max_edge_prob must be in (0, 1]");
   }
 

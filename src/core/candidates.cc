@@ -34,7 +34,8 @@ Status ValidateOptions(const SolverOptions& options) {
   if (options.top_r <= 0) {
     return Status::InvalidArgument("top_r must be positive");
   }
-  if (options.zeta <= 0.0 || options.zeta > 1.0) {
+  // Negated so NaN, which fails every comparison, is rejected too.
+  if (!(options.zeta > 0.0 && options.zeta <= 1.0)) {
     return Status::InvalidArgument("zeta must be in (0, 1]");
   }
   if (options.elimination_samples <= 0) {

@@ -4,10 +4,7 @@
 #include <memory>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "core/selection.h"
-#include "graph/visit_marker.h"
-#include "sampling/parallel.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
@@ -213,72 +210,6 @@ double PathSetEvaluator::Reliability(const std::vector<int>& selected,
          num_worlds;
 }
 
-namespace {
-
-// Per-lane scratch for the shared-world estimators below: one RNG (reseeded
-// per shard from its counter-based stream) plus BFS buffers and an integer
-// tally that folds commutatively into the shared result.
-struct WorldContext {
-  explicit WorldContext(const UncertainGraph& g, size_t tally_size)
-      : rng(0),
-        present(g.num_edges()),
-        visited(g.num_nodes()),
-        tally(tally_size, 0) {
-    queue.reserve(g.num_nodes());
-  }
-
-  // Flips every logical edge once: one shared world for all pairs. The flat
-  // structure-of-arrays probability vector keeps this a pure (prob, draw)
-  // sweep.
-  void SampleWorld(const UncertainGraph& g) {
-    const double* const probs = g.EdgeProbs().data();
-    for (size_t e = 0; e < g.num_edges(); ++e) {
-      present[e] = rng.NextBernoulli(probs[e]) ? 1 : 0;
-    }
-  }
-
-  // BFS from `seeds` over the sampled world.
-  void Traverse(const UncertainGraph& g, const std::vector<NodeId>& seeds) {
-    visited.NewEpoch();
-    queue.clear();
-    for (NodeId s : seeds) {
-      if (visited.Visit(s)) queue.push_back(s);
-    }
-    Flood(g);
-  }
-
-  // Single-seed variant: no seed-vector temporary in the per-source loop.
-  void Traverse(const UncertainGraph& g, NodeId seed) {
-    visited.NewEpoch();
-    queue.clear();
-    visited.Visit(seed);
-    queue.push_back(seed);
-    Flood(g);
-  }
-
-  void Flood(const UncertainGraph& g) {
-    const CsrView csr = g.OutCsr();
-    for (size_t head = 0; head < queue.size(); ++head) {
-      const NodeId u = queue[head];
-      const size_t end = csr.end(u);
-      for (size_t i = csr.begin(u); i < end; ++i) {
-        const NodeId v = csr.heads[i];
-        if (!present[csr.edge_ids[i]] || visited.Visited(v)) continue;
-        visited.Visit(v);
-        queue.push_back(v);
-      }
-    }
-  }
-
-  Rng rng;
-  std::vector<char> present;
-  VisitMarker visited;
-  std::vector<NodeId> queue;
-  std::vector<int64_t> tally;
-};
-
-}  // namespace
-
 std::vector<std::vector<double>> PairwiseReliability(
     const UncertainGraph& g, const std::vector<NodeId>& sources,
     const std::vector<NodeId>& targets, int num_samples, uint64_t seed,
@@ -288,29 +219,26 @@ std::vector<std::vector<double>> PairwiseReliability(
   for (NodeId v : sources) RELMAX_CHECK(v < n);
   for (NodeId v : targets) RELMAX_CHECK(v < n);
 
-  const std::vector<SampleShard> shards = MakeSampleShards(num_samples, seed);
-  // Flattened |S| x |T| hit counts.
+  const WorldBank::Options options{
+      .num_samples = num_samples, .seed = seed, .num_threads = num_threads};
+  // Flattened |S| x |T| hit counts, summed over one-block banks: each run's
+  // rows are the flat bank's columns, so the sums are the flat bank's.
   std::vector<int64_t> hits(sources.size() * targets.size(), 0);
-  ForEachShard(
-      shards.size(), num_threads,
-      [&] { return std::make_unique<WorldContext>(g, hits.size()); },
-      [&](std::unique_ptr<WorldContext>& ctx, size_t i) {
-        ctx->rng.Reseed(shards[i].seed);
-        for (int sample = 0; sample < shards[i].num_samples; ++sample) {
-          ctx->SampleWorld(g);
-          for (size_t si = 0; si < sources.size(); ++si) {
-            ctx->Traverse(g, sources[si]);
-            for (size_t ti = 0; ti < targets.size(); ++ti) {
-              if (ctx->visited.Visited(targets[ti])) {
-                ++ctx->tally[si * targets.size() + ti];
-              }
-            }
+  for (size_t block = 0; block < WorldBank::LaneBlocks(num_samples);
+       ++block) {
+    const WorldBank bank(g, options, block, 1);
+    const auto worlds = static_cast<size_t>(bank.num_worlds());
+    // A one-block bank floods each source whole-row, so shard i writes
+    // only source i's hit row.
+    bank.FloodSources(
+        sources, num_threads,
+        [&](size_t i, size_t, size_t, const bitlane::BitMatrix& reach) {
+          int64_t* const row = &hits[i * targets.size()];
+          for (size_t j = 0; j < targets.size(); ++j) {
+            row[j] += WorldBank::CountBits(reach.row_span(targets[j]), worlds);
           }
-        }
-      },
-      [&](std::unique_ptr<WorldContext>& ctx) {
-        for (size_t i = 0; i < hits.size(); ++i) hits[i] += ctx->tally[i];
-      });
+        });
+  }
 
   std::vector<std::vector<double>> result(
       sources.size(), std::vector<double>(targets.size(), 0.0));
@@ -331,25 +259,33 @@ double InfluenceSpread(const UncertainGraph& g,
   const NodeId n = g.num_nodes();
   for (NodeId v : sources) RELMAX_CHECK(v < n);
   for (NodeId v : targets) RELMAX_CHECK(v < n);
+  if (sources.empty()) return 0.0;
 
-  const std::vector<SampleShard> shards = MakeSampleShards(num_samples, seed);
+  const WorldBank::Options options{
+      .num_samples = num_samples, .seed = seed, .num_threads = num_threads};
   int64_t reached_targets = 0;
-  ForEachShard(
-      shards.size(), num_threads,
-      [&] { return std::make_unique<WorldContext>(g, 1); },
-      [&](std::unique_ptr<WorldContext>& ctx, size_t i) {
-        ctx->rng.Reseed(shards[i].seed);
-        for (int sample = 0; sample < shards[i].num_samples; ++sample) {
-          ctx->SampleWorld(g);
-          ctx->Traverse(g, sources);
-          for (NodeId t : targets) {
-            ctx->tally[0] += ctx->visited.Visited(t) ? 1 : 0;
-          }
-        }
-      },
-      [&](std::unique_ptr<WorldContext>& ctx) {
-        reached_targets += ctx->tally[0];
-      });
+  bitlane::BitMatrix reach;
+  for (size_t block = 0; block < WorldBank::LaneBlocks(num_samples);
+       ++block) {
+    const WorldBank bank(g, options, block, 1);
+    const size_t words = bank.world_words();
+    // Every source is reached in every world of the run: one flood seeded
+    // with all their rows settles the union of their reach sets.
+    reach.EnsureShape(n, words);
+    reach.Clear();
+    for (NodeId s : sources) {
+      uint64_t* const row = reach.row(s);
+      std::fill_n(row, words, ~uint64_t{0});
+      row[words - 1] = WorldBank::TailMask(bank.num_worlds());
+    }
+    bank.ReachabilityFixpoint(sources[0], /*backward=*/false,
+                              bank.AllEdges(), &reach,
+                              WorldBank::SeedPolicy::kSeedsAreFacts);
+    for (NodeId t : targets) {
+      reached_targets += WorldBank::CountBits(
+          reach.row_span(t), static_cast<size_t>(bank.num_worlds()));
+    }
+  }
   return static_cast<double>(reached_targets) / num_samples;
 }
 

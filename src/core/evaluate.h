@@ -105,8 +105,14 @@ class PathSetEvaluator {
 
 /// Pairwise reliability matrix R(s_i, t_j) over shared sampled worlds —
 /// the evaluation primitive for multiple-source-target objectives (§6).
-/// result[i][j] = R(sources[i], targets[j]). Runs on the batched world
-/// executor; bit-identical for a fixed seed across any num_threads.
+/// result[i][j] = R(sources[i], targets[j]). The worlds are keyed WorldBank
+/// worlds at `seed`, drawn one 512-world lane block at a time (the range
+/// constructor), so memory is E · 64 B plus n · 64 B per worker whatever
+/// num_samples is; each block floods every source (FloodSources) and
+/// popcounts the target rows, and the summed counts equal a flat bank's.
+/// Bit-identical for a fixed seed across any num_threads. An edge's bits
+/// depend only on (seed, edge id, world), so adding an edge to g never
+/// lowers a cell at the same seed.
 std::vector<std::vector<double>> PairwiseReliability(
     const UncertainGraph& g, const std::vector<NodeId>& sources,
     const std::vector<NodeId>& targets, int num_samples, uint64_t seed,
@@ -119,7 +125,11 @@ double AggregateMatrix(const std::vector<std::vector<double>>& matrix,
 /// Expected number of targets reachable from at least one source — the
 /// independent-cascade influence spread restricted to the target set
 /// (Equation 13, §8.4.2). Under possible-world semantics IC activation
-/// equals reachability, so one shared world per sample suffices.
+/// equals reachability, so each lane block of PairwiseReliability's worlds
+/// runs one fixpoint seeded with every source row (kSeedsAreFacts) and
+/// popcounts the targets. With one source and one target it equals that
+/// pairwise cell bit for bit; like it, bit-identical across num_threads and
+/// never lowered by an added edge at the same seed.
 double InfluenceSpread(const UncertainGraph& g,
                        const std::vector<NodeId>& sources,
                        const std::vector<NodeId>& targets, int num_samples,

@@ -92,28 +92,6 @@ void RunWorkers(int num_workers, const std::function<void(int)>& body) {
 
 namespace {
 
-// Shared scaffolding for the s-t estimators: shard the budget, tally integer
-// hits per shard slot, sum in index order. `hits_fn(sampler, n)` draws n
-// worlds from the already-reseeded sampler and returns its hit count.
-template <typename HitsFn>
-double ShardedHitRate(const UncertainGraph& g, const SampleOptions& options,
-                      HitsFn&& hits_fn) {
-  const std::vector<SampleShard> shards =
-      MakeSampleShards(options.num_samples, options.seed);
-  std::vector<int> hits(shards.size(), 0);
-  ForEachShard(
-      shards.size(), options.num_threads,
-      [&g] { return std::make_unique<MonteCarloSampler>(g, 0); },
-      [&](std::unique_ptr<MonteCarloSampler>& sampler, size_t i) {
-        sampler->Reseed(shards[i].seed);
-        hits[i] = hits_fn(*sampler, shards[i].num_samples);
-      },
-      [](std::unique_ptr<MonteCarloSampler>&) {});
-  int64_t total = 0;
-  for (int h : hits) total += h;
-  return static_cast<double>(total) / options.num_samples;
-}
-
 // Per-lane context for the all-nodes estimators: a reusable sampler plus a
 // private tally that folds into the shared one at lane end. Integer counts
 // make the fold commutative, hence thread-count invariant.
@@ -157,23 +135,21 @@ double ParallelReliability(const UncertainGraph& g, NodeId s, NodeId t,
   RELMAX_CHECK(s < g.num_nodes() && t < g.num_nodes());
   RELMAX_CHECK(options.num_samples > 0);
   if (s == t) return 1.0;
-  return ShardedHitRate(g, options, [s, t](MonteCarloSampler& sampler, int n) {
-    return sampler.ReliabilityHits(s, t, n);
-  });
-}
-
-double ParallelSetReliability(const UncertainGraph& g,
-                              const std::vector<NodeId>& sources, NodeId t,
-                              const SampleOptions& options) {
-  RELMAX_CHECK(options.num_samples > 0);
-  for (NodeId s : sources) {
-    RELMAX_CHECK(s < g.num_nodes());
-    if (s == t) return 1.0;
-  }
-  return ShardedHitRate(
-      g, options, [&sources, t](MonteCarloSampler& sampler, int n) {
-        return sampler.SetReliabilityHits(sources, t, n);
-      });
+  // Integer hits per shard slot, summed in index order.
+  const std::vector<SampleShard> shards =
+      MakeSampleShards(options.num_samples, options.seed);
+  std::vector<int> hits(shards.size(), 0);
+  ForEachShard(
+      shards.size(), options.num_threads,
+      [&g] { return std::make_unique<MonteCarloSampler>(g, 0); },
+      [&](std::unique_ptr<MonteCarloSampler>& sampler, size_t i) {
+        sampler->Reseed(shards[i].seed);
+        hits[i] = sampler->ReliabilityHits(s, t, shards[i].num_samples);
+      },
+      [](std::unique_ptr<MonteCarloSampler>&) {});
+  int64_t total = 0;
+  for (int h : hits) total += h;
+  return static_cast<double>(total) / options.num_samples;
 }
 
 std::vector<double> ParallelFromSourceSet(const UncertainGraph& g,

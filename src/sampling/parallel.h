@@ -20,9 +20,12 @@ namespace relmax {
 /// count. Worker lanes claim shards through an atomic cursor and tally
 /// integer outcomes (hit counts, per-node reach counts), which combine
 /// commutatively, so every estimate is **bit-identical for any num_threads**
-/// while wall-clock scales with cores. This is the substrate behind
-/// EstimateReliability, the RSS top-level strata, and the solver evaluation
-/// loop in core/evaluate.cc.
+/// while wall-clock scales with cores. This is the substrate behind the MC
+/// estimators (EstimateReliability and the solver's elimination and
+/// before/after estimates in core/evaluate.cc) and the RSS top-level strata.
+/// WorldBank fills and floods run on the same workers (RunWorkers,
+/// ForEachShard) and key their draws with ShardSeed, but cut their work by
+/// (edge range, lane block) and (source, world range), not by these shards.
 
 /// Worlds per shard. Small enough that a typical budget (Z = 500) splits
 /// across 8 lanes; large enough that the per-shard reseed is noise.
@@ -99,11 +102,6 @@ void ForEachShard(size_t num_shards, int num_threads,
 /// fixed (num_samples, seed) across any options.num_threads.
 double ParallelReliability(const UncertainGraph& g, NodeId s, NodeId t,
                            const SampleOptions& options);
-
-/// Parallel analogue of MonteCarloSampler::SetReliability.
-double ParallelSetReliability(const UncertainGraph& g,
-                              const std::vector<NodeId>& sources, NodeId t,
-                              const SampleOptions& options);
 
 /// Parallel analogue of MonteCarloSampler::FromSourceSet.
 std::vector<double> ParallelFromSourceSet(const UncertainGraph& g,

@@ -213,25 +213,6 @@ std::vector<double> MonteCarloSampler::ToTarget(NodeId t, int num_samples) {
   return reliability;
 }
 
-int MonteCarloSampler::SetReliabilityHits(const std::vector<NodeId>& sources,
-                                          NodeId t, int num_samples) {
-  RELMAX_CHECK(num_samples > 0);
-  for (NodeId s : sources) {
-    if (s == t) return num_samples;
-  }
-  int hits = 0;
-  for (int i = 0; i < num_samples; ++i) {
-    hits += SampleWorldBfs<false>(sources, t) ? 1 : 0;
-  }
-  return hits;
-}
-
-double MonteCarloSampler::SetReliability(const std::vector<NodeId>& sources,
-                                         NodeId t, int num_samples) {
-  return static_cast<double>(SetReliabilityHits(sources, t, num_samples)) /
-         num_samples;
-}
-
 double EstimateReliability(const UncertainGraph& g, NodeId s, NodeId t,
                            const SampleOptions& options) {
   return ParallelReliability(g, s, t, options);

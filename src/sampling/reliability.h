@@ -46,10 +46,6 @@ class MonteCarloSampler {
   /// their sums are exact, so merge order cannot perturb the estimate.
   int ReliabilityHits(NodeId s, NodeId t, int num_samples);
 
-  /// Number of worlds in which t is reachable from at least one source.
-  int SetReliabilityHits(const std::vector<NodeId>& sources, NodeId t,
-                         int num_samples);
-
   /// Adds per-node reach counts from the source set over `num_samples`
   /// worlds into `counts` (size num_nodes()).
   void AccumulateFromSourceSet(const std::vector<NodeId>& sources,
@@ -65,11 +61,6 @@ class MonteCarloSampler {
 
   /// Fraction of worlds in which each node reaches t (reverse traversal).
   std::vector<double> ToTarget(NodeId t, int num_samples);
-
-  /// Probability that *any* source reaches t, i.e. R(S, t) under the
-  /// multi-source semantics of §8.4.2.
-  double SetReliability(const std::vector<NodeId>& sources, NodeId t,
-                        int num_samples);
 
   /// Fraction of worlds each node is reachable from at least one source.
   std::vector<double> FromSourceSet(const std::vector<NodeId>& sources,

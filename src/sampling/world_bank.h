@@ -24,8 +24,9 @@ namespace relmax {
 /// 64 worlds and no per-world BFS ever runs. Because every candidate is
 /// scored against the same worlds (common random numbers), greedy
 /// marginal-gain comparisons within a round share sampling noise. The
-/// evaluator, the greedy scorer, the batch engine and the reliability index
-/// all read the bank through this one class.
+/// evaluator, the greedy scorer, the multi-source and influence evaluators,
+/// the fast-gain ensemble, the batch engine and the reliability index all
+/// read the bank through this one class.
 ///
 /// Storage is one flat, 64-byte-aligned bitlane::BitMatrix whose rows are
 /// padded to whole 512-bit lane blocks (see bitlane.h). The fixpoint is

@@ -134,8 +134,9 @@ TEST(InfluenceTest, SpreadIsMonotoneInEdges) {
                   .ok());
   const double after = InfluenceSpread(augmented, scenario->seniors,
                                        scenario->juniors, 800, 11);
-  EXPECT_GE(after + 0.05, before);  // sampling tolerance
-  EXPECT_GT(after, before - 0.05);
+  // Both estimates read the same worlds, so the added edge can only add
+  // reached targets.
+  EXPECT_GE(after, before);
 }
 
 TEST(InfluenceTest, ValidatesArguments) {

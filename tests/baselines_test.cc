@@ -438,6 +438,16 @@ TEST(InfluenceSpreadTest, MatchesClosedForm) {
   EXPECT_NEAR(InfluenceSpread(g, {0}, {1, 2}, 40000, 3), 1.0, 0.02);
 }
 
+TEST(InfluenceSpreadTest, SingleTargetIsUnionOfSources) {
+  // Two independent 1-edge routes into t; either source suffices.
+  UncertainGraph g = UncertainGraph::Directed(3);
+  ASSERT_TRUE(g.AddEdge(0, 2, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(1, 2, 0.5).ok());
+  EXPECT_NEAR(InfluenceSpread(g, {0, 1}, {2}, 60000, 29), 1.0 - 0.25,
+              0.01);  // 1 - (1-0.5)^2
+  EXPECT_DOUBLE_EQ(InfluenceSpread(g, {0, 2}, {2}, 10, 29), 1.0);
+}
+
 // -------------------------------------------------------------- fast gain
 
 TEST(FastGainTest, DeltaGainMatchesExactDifference) {

@@ -3,9 +3,8 @@
 
 // Shared fixtures for the exact-oracle conformance sweeps: small random
 // uncertain graphs (≤ 10 edges) plus a brute-force possible-world
-// enumeration oracle that every estimator — Monte Carlo, RSS, lazy
-// propagation, the WorldBank fixpoint — must agree with to within sampling
-// error. With m ≤ 10 edges the oracle enumerates all 2^m worlds exactly, so
+// enumeration oracle that every estimator — Monte Carlo, RSS, the WorldBank
+// fixpoint — must agree with to within sampling error. With m ≤ 10 edges the oracle enumerates all 2^m worlds exactly, so
 // it is independent of every traversal, stratification, and bit-matrix code
 // path under test.
 

@@ -9,12 +9,14 @@
 
 #include "baselines/greedy.h"
 #include "core/evaluate.h"
+#include "common/rng.h"
 #include "core/solver.h"
 #include "graph/exact_reliability.h"
 #include "graph/uncertain_graph.h"
 #include "sampling/parallel.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
+#include "sampling/world_bank.h"
 
 namespace relmax {
 namespace {
@@ -44,7 +46,7 @@ UncertainGraph BridgeGraph() {
   return g;
 }
 
-const int kThreadCounts[] = {1, 2, 8};
+const int kThreadCounts[] = {1, 2, 4, 8};
 
 TEST(ParallelMcTest, BitIdenticalAcrossThreadCountsOnDiamond) {
   const UncertainGraph g = DiamondGraph();
@@ -132,18 +134,6 @@ TEST(ParallelMcTest, ToTargetBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelMcTest, SetReliabilityBitIdenticalAcrossThreadCounts) {
-  const UncertainGraph g = BridgeGraph();
-  const double reference = ParallelSetReliability(
-      g, {0, 1}, 5, {.num_samples = 8000, .seed = 31, .num_threads = 1});
-  for (int threads : kThreadCounts) {
-    const double estimate = ParallelSetReliability(
-        g, {0, 1}, 5, {.num_samples = 8000, .seed = 31,
-                       .num_threads = threads});
-    EXPECT_EQ(estimate, reference) << "num_threads = " << threads;
-  }
-}
-
 TEST(ParallelRssTest, BitIdenticalAcrossThreadCountsOnDiamond) {
   const UncertainGraph g = DiamondGraph();
   const double reference = EstimateReliabilityRss(
@@ -211,6 +201,58 @@ TEST(ParallelEvaluateTest, InfluenceSpreadBitIdenticalAcrossThreadCounts) {
   for (int threads : kThreadCounts) {
     EXPECT_EQ(InfluenceSpread(g, {0}, {1, 2, 3}, 6000, 19, threads),
               reference)
+        << "num_threads = " << threads;
+  }
+}
+
+// The whole-graph evaluators draw their worlds from one-block WorldBank
+// runs, whose rows are the flat bank's columns: a 6000-world matrix and
+// spread equal what one flat bank's floods count, bit for bit, at any
+// thread count. The graph has thousands of edges, so the fill shards over
+// many row ranges, and three sources flood on separate workers.
+TEST(ParallelEvaluateTest, OneBlockRunsEqualFlatBankFlood) {
+  Rng rng(37);
+  UncertainGraph g = UncertainGraph::Directed(300);
+  for (NodeId u = 0; u < 300; ++u) {
+    for (NodeId v = 0; v < 300; ++v) {
+      if (u != v && rng.NextBernoulli(0.05)) {
+        ASSERT_TRUE(g.AddEdge(u, v, rng.NextDouble(0.02, 0.3)).ok());
+      }
+    }
+  }
+  const std::vector<NodeId> sources = {0, 1, 2};
+  const std::vector<NodeId> targets = {2, 3, 4, 5, 6};
+  constexpr int kSamples = 6000;
+  const WorldBank bank(g, {.num_samples = kSamples, .seed = 41});
+  std::vector<std::vector<double>> expected(
+      sources.size(), std::vector<double>(targets.size()));
+  std::vector<std::vector<uint64_t>> reached_from_any(
+      targets.size(), std::vector<uint64_t>(bank.world_words(), 0));
+  bank.FloodSources(
+      sources, /*num_threads=*/1,
+      [&](size_t i, size_t, size_t, const bitlane::BitMatrix& reach) {
+        for (size_t j = 0; j < targets.size(); ++j) {
+          const auto row = reach.row_span(targets[j]);
+          expected[i][j] =
+              static_cast<double>(WorldBank::CountBits(row, kSamples)) /
+              kSamples;
+          for (size_t w = 0; w < row.size(); ++w) {
+            reached_from_any[j][w] |= row[w];
+          }
+        }
+      });
+  int64_t reached = 0;
+  for (const std::vector<uint64_t>& row : reached_from_any) {
+    reached += WorldBank::CountBits(row, kSamples);
+  }
+  const double spread = static_cast<double>(reached) / kSamples;
+  EXPECT_GT(spread, 0.0);
+  for (int threads : kThreadCounts) {
+    EXPECT_EQ(PairwiseReliability(g, sources, targets, kSamples, 41, threads),
+              expected)
+        << "num_threads = " << threads;
+    EXPECT_EQ(InfluenceSpread(g, sources, targets, kSamples, 41, threads),
+              spread)
         << "num_threads = " << threads;
   }
 }

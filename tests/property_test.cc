@@ -9,10 +9,13 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/fast_gain.h"
 #include "baselines/greedy.h"
 #include "common/rng.h"
 #include "core/candidates.h"
 #include "core/evaluate.h"
+#include "gen/datasets.h"
+#include "gen/queries.h"
 #include "graph/exact_reliability.h"
 #include "graph/uncertain_graph.h"
 #include "oracle_util.h"
@@ -21,7 +24,6 @@
 #include "query/query_engine.h"
 #include "query/query_set.h"
 #include "sampling/bitlane.h"
-#include "sampling/lazy_propagation.h"
 #include "sampling/reliability.h"
 #include "sampling/rss.h"
 #include "sampling/world_bank.h"
@@ -114,14 +116,14 @@ TEST_P(ReliabilityInvariantSweep, EstimatorsAgreeWithExact) {
   EXPECT_NEAR(rss_mean / 20, exact, 0.03);
 }
 
-// InfluenceSpread specializes to reliability when |S| = |T| = 1, and the
-// pairwise matrix agrees with single-pair estimation.
+// InfluenceSpread specializes to reliability when |S| = |T| = 1: at the same
+// seed it floods the pairwise matrix's worlds, so the two agree exactly.
 TEST_P(ReliabilityInvariantSweep, SpreadAndPairwiseConsistency) {
   const UncertainGraph g = RandomGraph(700 + GetParam(), 7, 0.35, true);
   const double exact = ExactReliabilityFactoring(g, 0, 6, 50).value();
-  EXPECT_NEAR(InfluenceSpread(g, {0}, {6}, 30000, 9), exact, 0.015);
   const auto matrix = PairwiseReliability(g, {0}, {6}, 30000, 9);
   EXPECT_NEAR(matrix[0][0], exact, 0.015);
+  EXPECT_EQ(InfluenceSpread(g, {0}, {6}, 30000, 9), matrix[0][0]);
 }
 
 // Parallel MC and RSS agree with exact factoring within 3σ confidence
@@ -196,11 +198,10 @@ TEST(ExactOracleTest, OracleMatchesClosedFormsAndFactoring) {
   }
 }
 
-// Every estimator backend — MC (serial and batched-parallel), RSS, lazy
-// propagation, and the WorldBank word-parallel fixpoint — agrees with the
-// brute-force enumeration oracle within 3σ, on random directed and
-// undirected graphs of ≤ 10 edges. All streams are fixed-seed, so the
-// tolerance is deterministic, not flaky.
+// Every estimator backend — MC (serial and batched-parallel), RSS and the
+// WorldBank word-parallel fixpoint — agrees with the brute-force enumeration
+// oracle within 3σ, on random directed and undirected graphs of ≤ 10 edges.
+// All streams are fixed-seed, so the tolerance is deterministic, not flaky.
 class ExactOracleConformanceSweep : public testing::TestWithParam<int> {};
 
 TEST_P(ExactOracleConformanceSweep, EstimatorsMatchBruteForceEnumeration) {
@@ -235,9 +236,6 @@ TEST_P(ExactOracleConformanceSweep, EstimatorsMatchBruteForceEnumeration) {
   const double rss = EstimateReliabilityRss(
       g, s, t, {.num_samples = kSamples, .seed = 92});
   EXPECT_NEAR(rss, exact, band) << "RSS";
-
-  const double lazy = EstimateReliabilityLazy(g, s, t, kSamples, 93);
-  EXPECT_NEAR(lazy, exact, band) << "lazy propagation";
 
   // The WorldBank fixpoint answer must be within the band AND bit-identical
   // across lane kernels: scalar and blocked walk the same monotone algebra,
@@ -459,6 +457,56 @@ TEST_P(BankConsumerConformanceSweep, ConsumersBitEqualAcrossLanesThreads) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BankConsumerConformanceSweep,
                          testing::Range(0, 6));
+
+// ------------------------------------------------- common random numbers
+
+// Whole-graph estimates read keyed bank worlds: an edge's bits depend only
+// on (seed, edge id, world), and an added edge takes the next id, so at one
+// seed the augmented graph's worlds are the base graph's plus that edge.
+// Adding an edge therefore never lowers a pairwise cell, the spread or the
+// ensemble's base reliability — exactly, not within sampling error.
+TEST(CommonRandomNumbersTest, AddedEdgeNeverLowersAnEstimate) {
+  auto dataset = MakeDataset("lastfm", 0.1, 3);
+  ASSERT_TRUE(dataset.ok());
+  const UncertainGraph& g = dataset->graph;
+  auto query = GenerateMultiQuery(g, 3, {.seed = 5});
+  ASSERT_TRUE(query.ok());
+  const std::vector<NodeId>& sources = query->sources;
+  const std::vector<NodeId>& targets = query->targets;
+  constexpr int kSamples = 1000;
+  Rng rng(7);
+  for (int trial = 0; trial < 12; ++trial) {
+    const uint64_t seed = 100 + trial;
+    // One end on the query, so the edge can matter.
+    const auto other = static_cast<NodeId>(rng.NextUint64(g.num_nodes()));
+    const NodeId u = trial % 2 == 0 ? sources[trial % 3] : other;
+    const NodeId v = trial % 2 == 0 ? other : targets[trial % 3];
+    if (u == v || g.HasEdge(u, v)) continue;
+    UncertainGraph augmented = g;
+    ASSERT_TRUE(augmented.AddEdge(u, v, 0.5).ok());
+    const std::string trial_name = "trial " + std::to_string(trial) + ": (" +
+                                   std::to_string(u) + ", " +
+                                   std::to_string(v) + ")";
+    const auto before =
+        PairwiseReliability(g, sources, targets, kSamples, seed);
+    const auto after =
+        PairwiseReliability(augmented, sources, targets, kSamples, seed);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      for (size_t j = 0; j < targets.size(); ++j) {
+        EXPECT_GE(after[i][j], before[i][j])
+            << trial_name << ", cell " << i << "," << j;
+      }
+    }
+    EXPECT_GE(InfluenceSpread(augmented, sources, targets, kSamples, seed),
+              InfluenceSpread(g, sources, targets, kSamples, seed))
+        << trial_name;
+    EXPECT_GE(WorldEnsemble(augmented, sources[0], targets[0], kSamples, seed)
+                  .BaseReliability(),
+              WorldEnsemble(g, sources[0], targets[0], kSamples, seed)
+                  .BaseReliability())
+        << trial_name;
+  }
+}
 
 // ------------------------------------------------------- failure injection
 

@@ -116,17 +116,6 @@ TEST(MonteCarloTest, ToTargetRespectsDirection) {
   EXPECT_NEAR(to_one[0], 0.8, 0.05);
 }
 
-TEST(MonteCarloTest, SetReliabilityUnionOfSources) {
-  // Two independent 1-edge routes into t; either source suffices.
-  UncertainGraph g = UncertainGraph::Directed(3);
-  ASSERT_TRUE(g.AddEdge(0, 2, 0.5).ok());
-  ASSERT_TRUE(g.AddEdge(1, 2, 0.5).ok());
-  MonteCarloSampler sampler(g, 29);
-  const double r = sampler.SetReliability({0, 1}, 2, 60000);
-  EXPECT_NEAR(r, 1.0 - 0.25, 0.01);  // 1 - (1-0.5)^2
-  EXPECT_DOUBLE_EQ(sampler.SetReliability({0, 2}, 2, 10), 1.0);
-}
-
 // Parameterized sweep: MC tracks the exact value across edge probabilities.
 class McAccuracySweep : public testing::TestWithParam<double> {};
 

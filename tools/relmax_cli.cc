@@ -336,8 +336,12 @@ int CmdBudget(const Flags& flags) {
   if (!t.ok()) return Fail(t.status().ToString());
   BudgetOptions budget;
   budget.total_budget = flags.GetDouble("budget", 2.0);
-  budget.max_edges = static_cast<int>(flags.GetInt("max-edges", 10));
-  budget.units = static_cast<int>(flags.GetInt("units", 20));
+  const auto max_edges = IntFlag(flags, "max-edges", 10, 1, INT_MAX);
+  if (!max_edges.ok()) return Fail(max_edges.status().ToString());
+  budget.max_edges = static_cast<int>(*max_edges);
+  const auto units = IntFlag(flags, "units", 20, 1, INT_MAX);
+  if (!units.ok()) return Fail(units.status().ToString());
+  budget.units = static_cast<int>(*units);
   budget.max_edge_prob = flags.GetDouble("max-edge-prob", 0.95);
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
